@@ -124,6 +124,64 @@ def test_paths_replay_individually():
     assert est.mean == float(np.sum(np.array(scores)) / 8.0)
 
 
+def _poly_source(pts):
+    pts = np.atleast_2d(pts)
+    return 1.0 + pts[:, 0] - 0.5 * pts[:, -1] ** 2
+
+
+def _bounded_exterior(pts):
+    pts = np.atleast_2d(pts)
+    return 1.0 / (1.0 + np.sum(pts * pts, axis=1))
+
+
+# (domain, n, alpha, with source, start point, num_paths, chunk_paths)
+_GOLDEN_CASES = {
+    "disk_a0.3": (BallDomain(np.zeros(2), 1.0), 2, 0.3, True, [0.3, -0.2], 256, None),
+    "disk_a1.0": (BallDomain(np.zeros(2), 1.0), 2, 1.0, True, [0.3, -0.2], 256, None),
+    "disk_a1.9": (BallDomain(np.zeros(2), 1.0), 2, 1.9, True, [0.3, -0.2], 256, None),
+    "disk_nof_a1.5": (BallDomain(np.zeros(2), 1.0), 2, 1.5, False, [0.6, 0.1], 256, None),
+    "lshape_a1.0": (LShapeDomain(), 2, 1.0, True, [-0.4, 0.5], 256, None),
+    "ball10_a1.2": (BallDomain(np.zeros(10), 1.0), 10, 1.2, True, [0.3] + [0.0] * 9, 300, 128),
+}
+
+# float.hex of (mean, variance, mean_steps) of estimate_point, then
+# (score, steps) of run_path(..., 17).  The walk's random layout is part of
+# its contract: any change to these values is a deliberate stream break.
+_GOLDEN = {
+    "ball10_a1.2": ("0x1.22cb128e216bbp-1", "0x1.63613e99a0a13p-5", "0x1.a47ae147ae148p+2", "0x1.81a88887d9f7ap-1", 6),
+    "disk_a0.3": ("0x1.4954b9204fce8p+0", "0x1.0af91efd055abp-2", "0x1.4f00000000000p+0", "0x1.538c189b83e16p+0", 1),
+    "disk_a1.0": ("0x1.080de89b9f872p+0", "0x1.482d7202e6a2ap-3", "0x1.3900000000000p+1", "0x1.d11a67a89bed0p+0", 5),
+    "disk_a1.9": ("0x1.85cf5c91c243ep-1", "0x1.a9b4f8aa9dc51p-6", "0x1.4ae0000000000p+3", "0x1.023619fd17eb2p+0", 11),
+    "disk_nof_a1.5": ("0x1.b5239b431a28ep-2", "0x1.ac1cb967b1079p-7", "0x1.3740000000000p+2", "0x1.fc9b44ed94e3bp-2", 6),
+    "lshape_a1.0": ("0x1.37ebbb1783e80p-1", "0x1.b725c6cb40129p-4", "0x1.5080000000000p+1", "0x1.bd5bbcec28625p-1", 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+def test_golden_stream(name):
+    dom, n, alpha, with_f, x0, num_paths, chunk = _GOLDEN_CASES[name]
+    prob = ProblemSpec(
+        n=n,
+        alpha=alpha,
+        f=_poly_source if with_f else None,
+        g=_bounded_exterior,
+        domain=dom,
+    )
+    cfg = WalkConfig(epsilon=1e-4, num_paths=num_paths, seed=2024)
+    k = make_constants(n, alpha)
+    x0 = np.array(x0, dtype=float)
+    est = estimate_point(prob, cfg, k, x0, chunk_paths=chunk or num_paths)
+    path = run_path(prob, cfg, k, x0, 17)
+    got = (
+        est.mean.hex(),
+        est.variance.hex(),
+        est.mean_steps.hex(),
+        path.score.hex(),
+        path.steps,
+    )
+    assert got == _GOLDEN[name]
+
+
 def test_duplicate_points_reproduce_identical_estimates():
     prob = _ball_problem(2, 1.4)
     cfg = WalkConfig(epsilon=1e-5, num_paths=50, seed=9)
