@@ -4,7 +4,7 @@ Subcommands
 -----------
 solve        estimates at configured points -> <prefix>_estimates.csv
 convergence  error vs path count ladder     -> <prefix>_error_vs_N.csv
-steps        mean walk length vs |x|        -> <prefix>_steps.csv
+steps        mean walk length vs |x - c|      -> <prefix>_steps.csv
 field        solution profile on a grid     -> <prefix>_field.csv
 constants    print c_tilde, c_hat, zeta_unit, step_bound for (n, alpha, eps)
 
@@ -57,7 +57,7 @@ from .geometry import (
     HexagonDomain,
     LShapeDomain,
 )
-from .kernels import make_constants
+from .kernels import ALPHA_MAX, ALPHA_MIN, make_constants
 from .oracle import ExactCase, _constant_source, make_case, _CASE_NAMES
 
 
@@ -154,8 +154,8 @@ def _parse_case(spec):
 
 def _case_at(parsed, alpha=None) -> ExactCase:
     a = float(parsed["alpha"] if alpha is None else alpha)
-    if not 0.0 < a < 2.0:
-        raise ConfigError(f"alpha must lie in (0, 2), got {a}")
+    if not ALPHA_MIN <= a <= ALPHA_MAX:
+        raise ConfigError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {a}")
     if parsed["kind"] == "named":
         return make_case(parsed["name"], a)
     n = parsed["n"]
@@ -321,14 +321,14 @@ def cmd_convergence(raw, threads=None, seed_override=None):
     walk0 = _parse_walk(raw.get("walk"), seed_override, need_paths=False)
     prefix = _output_prefix(raw)
 
-    case0 = _case_at(parsed_case, alphas[0])
+    cases = [_case_at(parsed_case, a) for a in alphas]
+    case0 = cases[0]
     if case0.u_exact is None:
         raise ConfigError("convergence needs a case with an exact solution")
     pts = _materialize_points(_parse_points(raw["points"]), case0.domain, walk0.epsilon)
 
     table = {}  # (alpha, N) -> (paper_error, rmse)
-    for a in alphas:
-        case = _case_at(parsed_case, a)
+    for a, case in zip(alphas, cases):
         problem = case.problem()
         constants = make_constants(case.n, a)
         exact = case.u_exact(pts)
@@ -377,15 +377,18 @@ def cmd_steps(raw, threads=None, seed_override=None):
     walk = _parse_walk(raw.get("walk"), seed_override)
     prefix = _output_prefix(raw)
 
-    case0 = _case_at(parsed_case, alphas[0])
+    cases = [_case_at(parsed_case, a) for a in alphas]
+    case0 = cases[0]
     pts = _materialize_points(_parse_points(raw["points"]), case0.domain, walk.epsilon)
-    radii = np.linalg.norm(pts, axis=1)
+    # abs_x is the distance from a ball's centre, for other domains from the origin
+    dom = case0.domain
+    rel = pts - dom.center if isinstance(dom, BallDomain) else pts
+    radii = np.linalg.norm(rel, axis=1)
     order = np.argsort(radii, kind="stable")
 
     lines = ["alpha,abs_x,steps_mean"]
     means = {}
-    for a in alphas:
-        case = _case_at(parsed_case, a)
+    for a, case in zip(alphas, cases):
         problem = case.problem()
         constants = make_constants(case.n, a)
         ests = [estimate_point(problem, walk, constants, p, threads=threads)
@@ -404,7 +407,8 @@ def cmd_steps(raw, threads=None, seed_override=None):
             if np.any(seq[1:] < seq[:-1] * (1.0 - 1e-2) - 1e-9):
                 monotone = False
         if not monotone:
-            raise RuntimeError("steps_mean is not nondecreasing in |x| on the ball")
+            raise RuntimeError(
+                "steps_mean is not nondecreasing in |x - centre| on the ball")
     if any(means[a].min() < 1.0 for a in alphas):
         raise RuntimeError("steps_mean below 1; the first ball is always built")
     _write_summary(prefix, "steps", raw,

@@ -12,18 +12,21 @@ or inside the epsilon-shell along the boundary (score = acc + g(projected
 point)).  The estimate at x0 is the sample mean of the path scores.
 
 Reproducibility contract: path i of a run draws from the addressed stream
-(seed, stream_id = i, substream = hash(x0)), consuming randomness per step
-in a fixed order:
+(seed, stream_id = i, substream = hash(x0)), consuming counter blocks per
+step in a fixed order:
 
-    1. interior-radius rejection rounds, one counter block each (f given)
-    2. interior direction, n Gaussians                           (f given)
-    3. exit direction, n Gaussians
-    4. exit radius, one uniform
+    1. interior-radius rejection, two proposals per block     (f given)
+    2. interior direction, n Gaussians in whole blocks          (f given)
+    3. exit direction, n Gaussians in whole blocks
+    4. exit radius, the first word of one block
 
-so a path replays bit-identically whether it runs alone (run_path), inside
-any chunk of estimate_point, or under any thread count.  Aggregation sums
-full score arrays in path-index order, which keeps the reduction
-independent of scheduling as well.
+Draws 2-4 come from one Philox call per step.  Rejection rounds may draw
+blocks ahead of the accepted proposal, but a path's counter only advances
+past the blocks it consumed, so the next draw starts right after them.
+A path therefore replays bit-identically whether it runs alone (run_path),
+inside any chunk of estimate_point, or under any thread count.
+Aggregation sums full score arrays in path-index order, which keeps the
+reduction independent of scheduling as well.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import scipy.special as sc
 
 from . import sampling
 from .geometry import Domain
-from .kernels import KernelConstants
+from .kernels import ALPHA_MAX, ALPHA_MIN, KernelConstants
 from .specfun import BetaParams, beta, inc_beta
 
 __all__ = [
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 _CHUNK_PATHS = 65536
-_REJECTION_CAP = 500_000
+_REJECTION_CAP = 500_000  # blocks per interior radius, two proposals each
 
 
 class StepCapExceeded(RuntimeError):
@@ -80,8 +83,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n != self.domain.n:
             raise ValueError("problem dimension disagrees with the domain")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
+        if not ALPHA_MIN <= self.alpha <= ALPHA_MAX:
+            raise ValueError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}]")
         if self.g is None:
             raise ValueError("exterior data g is required (use lambda x: 0.0)")
 
@@ -171,25 +174,38 @@ def _check_consistency(problem: ProblemSpec, constants: KernelConstants):
 def _batch_interior_radii(batch: sampling.StreamBatch, idx, n: int, alpha: float):
     """Per-path rejection sampling of the interior radial coordinate.
 
-    Each pending path burns one counter block (two proposal/acceptance
-    pairs) per round; the first accepted proposal wins."""
+    A counter block holds two proposal/acceptance pairs, tested in order;
+    the first accepted proposal wins.  Round k draws 2^k blocks at once for
+    each pending path, and each path's counter is then set to the blocks up
+    to its accepted proposal, so blocks drawn past it are never consumed."""
     out = np.empty(idx.shape[0])
     pending = np.arange(idx.shape[0])
     inv_alpha = 1.0 / alpha
-    for _ in range(_REJECTION_CAP):
-        if pending.size == 0:
-            return out
-        u = batch.uniforms(idx[pending], 4)
-        accepted = np.full(pending.size, False)
-        for j in (0, 2):
-            s = u[:, j] ** inv_alpha
-            ok = (~accepted) & (
-                u[:, j + 1] <= sampling.interior_accept_prob(s, n, alpha)
-            )
-            out[pending[ok]] = s[ok]
-            accepted |= ok
-        pending = pending[~accepted]
-    raise RuntimeError("interior radius rejection exceeded the proposal cap")
+    drawn = 0
+    nblocks = 1
+    while pending.size:
+        if drawn >= _REJECTION_CAP:
+            raise RuntimeError("interior radius rejection exceeded the proposal cap")
+        nblocks = min(nblocks, _REJECTION_CAP - drawn)
+        rows = idx[pending]
+        start = batch.position[rows]
+        u = batch.uniforms(rows, 4 * nblocks)
+        used = np.full(pending.size, nblocks, dtype=np.uint64)
+        left = np.arange(pending.size)  # rows of u without an accepted proposal
+        for q in range(2 * nblocks):
+            s = u[left, 2 * q] ** inv_alpha
+            ok = u[left, 2 * q + 1] <= sampling.interior_accept_prob(s, n, alpha)
+            hit = left[ok]
+            out[pending[hit]] = s[ok]
+            used[hit] = q // 2 + 1
+            left = left[~ok]
+            if left.size == 0:
+                break
+        batch.position[rows] = start + used
+        pending = pending[left]
+        drawn += nblocks
+        nblocks *= 2
+    return out
 
 
 def _unit_rows(z):
@@ -207,9 +223,17 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
     f = _FieldEval(problem.f) if problem.f is not None else None
     g = _FieldEval(problem.g)
 
+    # words of the fixed draws 2-4, one Philox call per step: a direction's
+    # 2 * ceil(n/2) uniforms fill ceil(n/4) whole blocks, and the exit radius
+    # takes the first word of one more
+    dir_words = 4 * -(-n // 4)
+    exit_dir = dir_words if f is not None else 0
+    exit_word = exit_dir + dir_words
+
     m = path_ids.shape[0]
     batch = sampling.StreamBatch(config.seed, path_ids, substream)
     x = np.tile(np.asarray(x0, dtype=float), (m, 1))
+    r_all = dom.dist_boundary(x)  # carried: each live path's distance
     acc = np.zeros(m)
     steps = np.zeros(m, dtype=np.int64)
     score = np.zeros(m)
@@ -222,17 +246,19 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
     while np.any(live):
         li = local[live]
         xa = x[li]
-        r = dom.dist_boundary(xa)
+        r = r_all[li]
 
         if f is not None:
             s = _batch_interior_radii(batch, li, n, alpha)
-            ydir = _unit_rows(batch.normals(li, n))
+        u = batch.uniforms(li, exit_word + 4)
+        if f is not None:
+            ydir = _unit_rows(sampling.box_muller(u, n))
             y = xa + (r * s)[:, None] * ydir
             acc[li] += (r**alpha) * zeta_unit * f(y)
 
-        theta = _unit_rows(batch.normals(li, n))
-        u = batch.uniforms(li, 1)[:, 0]
-        gamma = sampling.exit_radius_from_uniform(r, alpha, u)
+        theta = _unit_rows(sampling.box_muller(u[:, exit_dir:], n))
+        gamma = sampling.exit_radius_from_uniform(r, alpha, u[:, exit_word])
+        del u
         xnew = xa + gamma[:, None] * theta
         steps[li] += 1
 
@@ -254,7 +280,9 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
                 exit_pt[stop_idx] = proj
                 shell[stop_idx] = True
                 live[stop_idx] = False
-            x[in_idx[~in_shell]] = xin[~in_shell]
+            go_on = in_idx[~in_shell]
+            x[go_on] = xin[~in_shell]
+            r_all[go_on] = d[~in_shell]
 
         capped = live & (steps >= config.max_steps)
         if np.any(capped):

@@ -36,6 +36,7 @@ import scipy.special as sc
 __all__ = [
     "RngStream",
     "StreamBatch",
+    "box_muller",
     "philox4x64",
     "unit_direction",
     "exit_radius_from_uniform",
@@ -53,8 +54,20 @@ _M1 = np.uint64(0xCA5A826395121157)
 _W0 = np.uint64(0x9E3779B97F4A7C15)
 _W1 = np.uint64(0xBB67AE8584CAA73B)
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SH32 = np.uint64(32)
+# 0-d arrays, not numpy scalars: ufuncs take them with less overhead
+_MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SH32 = np.array(32, dtype=np.uint64)
+_SH11 = np.array(11, dtype=np.uint64)
+
+# The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, ...) array.
+_M = np.array([_M0, _M1])
+_M_LO = _M & _MASK32
+_M_HI = _M >> _SH32
+_W = np.array([_W0, _W1])
+
+# Blocks generated per pass of the round loop: temporaries stay in cache and
+# memory stays flat however many blocks a call asks for.
+_TILE_BLOCKS = 8192
 
 # Smallest exit-radius quantile kept after inverting the incomplete Beta.
 # For small alpha the inverse underflows to exactly 0 at tiny u (the true
@@ -67,21 +80,82 @@ _MIN_INV_BETA = 1e-300
 _MAX_REJECTION_ROUNDS = 500_000
 
 
-def _mulhilo(a, m):
-    """128-bit product of uint64 array a with uint64 scalar m -> (hi, lo)."""
-    lo = a * m  # wrapping multiply
-    a_lo = a & _MASK32
-    a_hi = a >> _SH32
-    m_lo = m & _MASK32
-    m_hi = m >> _SH32
-    x0 = a_lo * m_lo
-    x1 = a_lo * m_hi
-    x2 = a_hi * m_lo
-    x3 = a_hi * m_hi
-    t = x1 + (x0 >> _SH32)
-    u = x2 + (t & _MASK32)
-    hi = x3 + (t >> _SH32) + (u >> _SH32)
-    return hi, lo
+def _tiles(shape):
+    """Index tuples cutting an array of `shape` into pieces of at most
+    _TILE_BLOCKS elements, in C order (shape has at least one axis)."""
+    inner = int(np.prod(shape[1:]))
+    if inner <= _TILE_BLOCKS:
+        step = _TILE_BLOCKS // max(inner, 1)
+        for a in range(0, shape[0], step):
+            yield (slice(a, a + step),)
+    else:
+        for a in range(shape[0]):
+            for rest in _tiles(shape[1:]):
+                yield (a,) + rest
+
+
+def _philox_tile(c0, c1, c2, c3, k0, k1):
+    """Philox4x64-10 on one tile -> (A, B) with A = (word 0, word 2) and
+    B = (word 1, word 3), each of shape (2,) + the broadcast tile shape.
+
+    Per round, with lanes A = (c0, c2), B = (c1, c3), key K = (k0, k1):
+    A' = reversed(mulhi(A, M)) ^ B ^ K and B' = reversed(A * M).  The high
+    half of the 128-bit product is built from four 32-bit partial products.
+    The inputs share one ndim; the keys keep their own (broadcast) shape.
+    """
+    shape = np.broadcast_shapes(*(v.shape for v in (c0, c1, c2, c3, k0, k1)))
+    a = np.empty((2,) + shape, dtype=np.uint64)
+    b = np.empty_like(a)
+    a[0], a[1], b[0], b[1] = c0, c2, c1, c3
+    lanes = (2,) + (1,) * len(shape)
+    m, m_lo, m_hi, w = (v.reshape(lanes) for v in (_M, _M_LO, _M_HI, _W))
+    key = np.stack(np.broadcast_arrays(k0, k1))
+    for rnd in range(10):
+        if rnd > 0:
+            key = key + w
+        lo = a * m
+        a_lo = a & _MASK32
+        hi = np.right_shift(a, _SH32, out=a)
+        t = a_lo * m_hi
+        np.multiply(a_lo, m_lo, out=a_lo)
+        t += np.right_shift(a_lo, _SH32, out=a_lo)
+        u = hi * m_lo
+        u += np.bitwise_and(t, _MASK32, out=a_lo)
+        hi *= m_hi
+        hi += np.right_shift(t, _SH32, out=t)
+        hi += np.right_shift(u, _SH32, out=u)
+        np.bitwise_xor(b, hi[::-1], out=b)
+        b ^= key
+        a, b = b, lo[::-1]
+    return a, b
+
+
+def _tile_of(v, t):
+    """v[t] where v broadcasts against the tiled array: axes of size 1 stay
+    at size 1, so broadcast inputs are never copied to the tile's size."""
+    return v[
+        tuple(
+            i if n > 1 else (0 if isinstance(i, int) else slice(None))
+            for i, n in zip(t, v.shape)
+        )
+    ]
+
+
+def _philox_fill(out, c0, c1, c2, c3, k0, k1, store):
+    """Fill out[..., w] (shape S + (4,)) with word w of the block at each
+    index of S, one tile at a time.  The counter and key words broadcast to
+    S.  store(dst, words) writes a (2, tile...) pair of words into its
+    (2, tile...) destination view."""
+    shape = out.shape[:-1]
+    ins = [
+        v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
+        for v in (c0, c1, c2, c3, k0, k1)
+    ]
+    for t in _tiles(shape):
+        a, b = _philox_tile(*(_tile_of(v, t) for v in ins))
+        dst = out[t]
+        store(np.moveaxis(dst[..., 0::2], -1, 0), a)
+        store(np.moveaxis(dst[..., 1::2], -1, 0), b)
 
 
 def philox4x64(c0, c1, c2, c3, k0, k1):
@@ -91,27 +165,18 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     numpy.random.Philox emits the block at counter+1 first (it advances
     before generating); the known-answer test accounts for that offset.
     """
-    c0 = np.atleast_1d(np.asarray(c0, dtype=np.uint64))
-    shape = c0.shape
-    c1 = np.broadcast_to(np.asarray(c1, dtype=np.uint64), shape).copy()
-    c2 = np.broadcast_to(np.asarray(c2, dtype=np.uint64), shape).copy()
-    c3 = np.broadcast_to(np.asarray(c3, dtype=np.uint64), shape).copy()
-    k0 = np.broadcast_to(np.asarray(k0, dtype=np.uint64), shape).copy()
-    k1 = np.broadcast_to(np.asarray(k1, dtype=np.uint64), shape).copy()
-    c0 = c0.copy()
-    for rnd in range(10):
-        if rnd > 0:
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-        hi0, lo0 = _mulhilo(c0, _M0)
-        hi1, lo1 = _mulhilo(c2, _M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+    ins = [np.asarray(v, dtype=np.uint64) for v in (c0, c1, c2, c3, k0, k1)]
+    shape = np.broadcast_shapes(*(v.shape for v in ins)) or (1,)
+    out = np.empty(shape + (4,), dtype=np.uint64)
+    _philox_fill(out, *ins, np.copyto)
+    return tuple(out[..., w] for w in range(4))
 
 
-def _to_unit_open(bits):
-    """uint64 -> float64 uniform on the open interval (0, 1)."""
-    return (bits >> np.uint64(11)) * (0.5**53) + 0.5**54
+def _store_unit_open(dst, words):
+    """Write uint64 words as float64 uniforms on the open interval (0, 1)."""
+    np.right_shift(words, _SH11, out=words)
+    np.multiply(words, 0.5**53, out=dst)
+    dst += 0.5**54
 
 
 class StreamBatch:
@@ -139,29 +204,36 @@ class StreamBatch:
         """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m)."""
         idx = np.asarray(idx, dtype=np.intp)
         nblocks = -(-m // 4)
-        c0 = self.position[idx, None] + np.arange(nblocks, dtype=np.uint64)[None, :]
-        o = philox4x64(
-            c0,
+        pos = self.position[idx]
+        out = np.empty((idx.shape[0], nblocks, 4))
+        _philox_fill(
+            out,
+            pos[:, None] + np.arange(nblocks, dtype=np.uint64),
             self.substreams[idx, None],
             np.uint64(0),
             np.uint64(0),
             self.seed,
             self.stream_ids[idx, None],
+            _store_unit_open,
         )
-        self.position[idx] += np.uint64(nblocks)
-        bits = np.stack(o, axis=2).reshape(idx.shape[0], 4 * nblocks)
-        return _to_unit_open(bits[:, :m])
+        self.position[idx] = pos + np.uint64(nblocks)
+        return out.reshape(idx.shape[0], 4 * nblocks)[:, :m]
 
     def normals(self, idx, m: int):
         """Draw m standard normals per path in idx (Box-Muller on pairs)."""
-        npairs = -(-m // 2)
-        u = self.uniforms(idx, 2 * npairs)
-        rad = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-        ang = (2.0 * np.pi) * u[:, 1::2]
-        z = np.empty((u.shape[0], 2 * npairs))
-        z[:, 0::2] = rad * np.cos(ang)
-        z[:, 1::2] = rad * np.sin(ang)
-        return z[:, :m]
+        return box_muller(self.uniforms(idx, 2 * (-(-m // 2))), m)
+
+
+def box_muller(u, m: int):
+    """The first m standard normals from uniforms u of shape (rows, >= m):
+    Box-Muller on consecutive pairs (u[:, 2k], u[:, 2k + 1])."""
+    npairs = -(-m // 2)
+    rad = np.sqrt(-2.0 * np.log(u[:, 0 : 2 * npairs : 2]))
+    ang = (2.0 * np.pi) * u[:, 1 : 2 * npairs : 2]
+    z = np.empty((u.shape[0], 2 * npairs))
+    z[:, 0::2] = rad * np.cos(ang)
+    z[:, 1::2] = rad * np.sin(ang)
+    return z[:, :m]
 
 
 class RngStream:

@@ -241,6 +241,21 @@ def test_steps_table_sorted_and_monotone(tmp_path):
     assert summary["monotone_in_abs_x"] is True
 
 
+def test_steps_measures_abs_x_from_the_ball_centre(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        case=_inline_ball(1.0, center=(3.0, 0.0)),
+        points={"type": "list", "values": [[3.0, 0.0], [3.5, 0.0], [3.9, 0.0], [2.2, 0.0]]},
+        walk={"num_paths": 400, "seed": 0},
+        output=str(tmp_path / "steps"),
+    )
+    assert cli.main(["steps", "--config", cfg]) == 0
+    _, rows = _read_rows(tmp_path / "steps_steps.csv")
+    radii = [float(r[1]) for r in rows]
+    assert radii == pytest.approx([0.0, 0.5, 0.8, 0.9], abs=1e-12)
+    assert float(rows[0][2]) == 1.0  # from the centre every path exits at once
+
+
 # ---------------------------------------------------------------------------
 # field
 
@@ -333,6 +348,47 @@ def test_unknown_case_name_is_config_error(tmp_path):
 def test_alpha_out_of_range_is_config_error(tmp_path):
     cfg = _solve_cfg(tmp_path, case={"name": "disk_constant_source", "alpha": 2.5})
     assert cli.main(["solve", "--config", cfg]) == 2
+
+
+def _inline_ball(alpha, center=(0.0, 0.0)):
+    return {
+        "domain": {"type": "ball", "center": list(center), "radius": 1.0},
+        "n": 2,
+        "alpha": alpha,
+        "f": "none",
+        "g": "zero",
+    }
+
+
+def test_alpha_outside_the_kernel_range_is_config_error(tmp_path):
+    # the kernels support [ALPHA_MIN, ALPHA_MAX] = [0.05, 1.95]; alpha = 0.01
+    # lies in (0, 2) but must still be rejected as a config error
+    cfg = _solve_cfg(tmp_path, case=_inline_ball(0.01))
+    assert cli.main(["solve", "--config", cfg]) == 2
+    cfg = _solve_cfg(tmp_path, case={"name": "disk_constant_source", "alpha": 1.96})
+    assert cli.main(["solve", "--config", cfg]) == 2
+    for alphas in ([0.01], [1.0, 0.01]):
+        steps = _cfg(
+            tmp_path,
+            case=_inline_ball(1.0),
+            alphas=alphas,
+            points={"type": "list", "values": [[0.0, 0.0]]},
+            walk={"num_paths": 10, "seed": 0},
+            output=str(tmp_path / "steps"),
+        )
+        assert cli.main(["steps", "--config", steps]) == 2
+        conv = _cfg(
+            tmp_path,
+            case={"name": "disk_constant_source", "alpha": 1.0},
+            alphas=alphas,
+            path_ladder=[10, 20],
+            points={"type": "list", "values": [[0.0, 0.0]]},
+            walk={"seed": 0},
+            output=str(tmp_path / "conv"),
+        )
+        assert cli.main(["convergence", "--config", conv]) == 2
+    assert not (tmp_path / "steps_steps.csv").exists()
+    assert not (tmp_path / "conv_error_vs_N.csv").exists()
 
 
 def test_empty_points_list_is_config_error(tmp_path):

@@ -332,6 +332,8 @@ def test_problem_spec_validation():
         ProblemSpec(n=2, alpha=2.0, f=None, g=g, domain=dom)
     with pytest.raises(ValueError):
         ProblemSpec(n=2, alpha=0.0, f=None, g=g, domain=dom)
+    with pytest.raises(ValueError, match="0.05"):  # below the kernels' range
+        ProblemSpec(n=2, alpha=0.01, f=None, g=g, domain=dom)
     with pytest.raises(ValueError):
         ProblemSpec(n=2, alpha=1.0, f=None, g=None, domain=dom)
 

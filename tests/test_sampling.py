@@ -11,7 +11,9 @@ import pytest
 from numpy.random import Philox
 
 from fracwos import kernels
+from fracwos.engine import _batch_interior_radii
 from fracwos.sampling import (
+    _TILE_BLOCKS,
     RngStream,
     StreamBatch,
     exit_radius_from_uniform,
@@ -62,6 +64,95 @@ def test_philox_vectorized_counter_axis():
     for i in range(5):
         single = philox4x64(int(c0[i]), 3, 0, 0, 11, 13)
         assert all(int(out[w][i]) == int(single[w][0]) for w in range(4))
+
+
+def _numpy_words(c0, c1, k0, k1, nblocks):
+    """numpy.random.Philox words of the blocks at counters (c0 + j, c1, 0, 0),
+    j < nblocks: numpy advances its 256-bit counter before each block."""
+    total = ((int(c1) << 64) + int(c0) - 1) % 2**256
+    counter = [(total >> (64 * i)) & (2**64 - 1) for i in range(4)]
+    key = np.array([int(k0), int(k1)], dtype=np.uint64)
+    return Philox(counter=np.array(counter, dtype=np.uint64), key=key).random_raw(4 * nblocks)
+
+
+def _unit_open(words):
+    return (words >> np.uint64(11)) * 0.5**53 + 0.5**54
+
+
+@pytest.mark.parametrize("rows, nblocks", [(3, _TILE_BLOCKS // 2 + 5), (2, _TILE_BLOCKS + 9)])
+def test_philox_2d_counter_array_spanning_tiles(rows, nblocks):
+    # more blocks than one tile, cut between rows and within a row; the
+    # keys k1 and counter words c1 stay one per row
+    k1 = np.array([[5], [2**64 - 3], [77]], dtype=np.uint64)[:rows]
+    c1 = np.array([[0], [9], [2**40]], dtype=np.uint64)[:rows]
+    c0 = np.uint64(2**62) + np.arange(nblocks, dtype=np.uint64)[None, :] + c1
+    out = philox4x64(c0, c1, 0, 0, 0xABCDEF, k1)
+    assert all(w.shape == (rows, nblocks) for w in out)
+    words = np.stack(out, axis=2).reshape(rows, 4 * nblocks)
+    for i in range(rows):
+        ref = _numpy_words(c0[i, 0], c1[i, 0], 0xABCDEF, k1[i, 0], nblocks)
+        assert np.array_equal(words[i], ref)
+
+
+@pytest.mark.parametrize("m", [4, 12])
+def test_uniforms_rows_not_a_multiple_of_the_tile(m):
+    rows = _TILE_BLOCKS + 37
+    batch = StreamBatch(seed=123, stream_ids=np.arange(rows) * 3 + 1, substreams=8)
+    got = batch.uniforms(np.arange(rows), m)
+    assert got.shape == (rows, m)
+    for i in list(range(0, rows, 997)) + [rows - 1]:
+        ref = _unit_open(_numpy_words(0, 8, 123, 3 * i + 1, -(-m // 4)))
+        assert np.array_equal(got[i], ref[:m])
+    assert np.all(batch.position == -(-m // 4))
+
+
+def test_uniforms_mixed_per_row_positions():
+    batch = StreamBatch(seed=5, stream_ids=[10, 11, 12, 13, 14], substreams=[0, 1, 2, 3, 4])
+    batch.uniforms(np.array([1, 3]), 9)  # 3 blocks
+    batch.uniforms(np.array([3, 4]), 1)  # 1 block
+    batch.uniforms(np.array([2]), 40)  # 10 blocks
+    start = batch.position.copy()
+    assert start.tolist() == [0, 3, 10, 4, 1]
+    got = batch.uniforms(np.arange(5), 7)
+    for i in range(5):
+        ref = _unit_open(_numpy_words(start[i], i, 5, 10 + i, 2))
+        assert np.array_equal(got[i], ref[:7])
+    assert np.array_equal(batch.position, start + 2)
+
+
+def _one_block_rounds(batch, idx, n, alpha):
+    """Interior-radius rejection drawing one block per pending row per round."""
+    out = np.empty(idx.shape[0])
+    pending = np.arange(idx.shape[0])
+    while pending.size:
+        u = batch.uniforms(idx[pending], 4)
+        accepted = np.zeros(pending.size, dtype=bool)
+        for j in (0, 2):
+            s = u[:, j] ** (1.0 / alpha)
+            ok = ~accepted & (u[:, j + 1] <= interior_accept_prob(s, n, alpha))
+            out[pending[ok]] = s[ok]
+            accepted |= ok
+        pending = pending[~accepted]
+    return out
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 1.9), (3, 0.7)])
+def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha):
+    rows, idx = 400, np.arange(0, 400, 2)
+    ahead = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
+    single = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
+    for b in (ahead, single):
+        b.uniforms(np.arange(0, rows, 3), 5)  # mixed starting positions
+    start = ahead.position.copy()
+    got = _batch_interior_radii(ahead, idx, n, alpha)
+    want = _one_block_rounds(single, idx, n, alpha)
+    assert np.array_equal(got, want)
+    assert np.array_equal(ahead.position, single.position)
+    assert np.array_equal(ahead.position[1::2], start[1::2])  # rows not drawn
+    # a row that consumed 2 or more blocks needed a second round, which drew
+    # 2 blocks ahead; the next draw continues right after the consumed ones
+    assert np.max(ahead.position - start) >= 2
+    assert np.array_equal(ahead.uniforms(idx, 4), single.uniforms(idx, 4))
 
 
 # ---------------------------------------------------------------------------
