@@ -7,9 +7,10 @@ Paths jump between inscribed balls using the exact exit law of the ball
 source sample weighted by the ball's Green mass.
 
 Modules:
-    specfun   - incomplete Beta, hypergeometric, Gauss-Jacobi helpers
+    specfun   - incomplete Beta and hypergeometric wrappers
     kernels   - ball Green function / exit kernel, radial laws, constants
-    sampling  - counter-based RNG streams and the jump/source samplers
+    sampling  - Philox streams per path, Box-Muller, exit-radius transform,
+                interior acceptance probability
     geometry  - domain primitives (ball, box, L-shape, annulus, hexagon)
     engine    - the walk itself: paths, estimates, diagnostics
     oracle    - deterministic quadrature reference and worked exact cases

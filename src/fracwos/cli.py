@@ -152,10 +152,15 @@ def _parse_case(spec):
     raise ConfigError("case must be a name or an object")
 
 
-def _case_at(parsed, alpha=None) -> ExactCase:
-    a = float(parsed["alpha"] if alpha is None else alpha)
+def _check_alpha(alpha) -> float:
+    a = float(alpha)
     if not ALPHA_MIN <= a <= ALPHA_MAX:
         raise ConfigError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}], got {a}")
+    return a
+
+
+def _case_at(parsed, alpha=None) -> ExactCase:
+    a = _check_alpha(parsed["alpha"] if alpha is None else alpha)
     if parsed["kind"] == "named":
         return make_case(parsed["name"], a)
     n = parsed["n"]
@@ -211,6 +216,18 @@ def _materialize_points(parsed, domain, epsilon: float) -> np.ndarray:
     axes = [np.linspace(lo[d] + m, hi[d] - m, res) for d in range(domain.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+def _check_starts(pts, domain, epsilon: float):
+    """Reject the first point that is not a valid walk start, before any walk."""
+    inside = domain.contains(pts)
+    shell = np.zeros(pts.shape[0], dtype=bool)
+    shell[inside] = domain.dist_boundary(pts[inside]) < epsilon
+    bad = ~inside | shell
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        where = "inside the epsilon-shell" if inside[i] else "outside the domain"
+        raise ConfigError(f"point {i} {pts[i].tolist()} lies {where}")
 
 
 def _parse_walk(spec, seed_override=None, need_paths=True):
@@ -284,6 +301,7 @@ def cmd_solve(raw, threads=None, seed_override=None):
     case = _case_at(_parse_case(raw["case"]))
     walk = _parse_walk(raw.get("walk"), seed_override)
     pts = _materialize_points(_parse_points(raw["points"]), case.domain, walk.epsilon)
+    _check_starts(pts, case.domain, walk.epsilon)
     prefix = _output_prefix(raw)
 
     problem = case.problem()
@@ -319,13 +337,14 @@ def cmd_convergence(raw, threads=None, seed_override=None):
     if not ladder or any(N < 1 for N in ladder):
         raise ConfigError("path_ladder must be a nonempty list of positive counts")
     walk0 = _parse_walk(raw.get("walk"), seed_override, need_paths=False)
-    prefix = _output_prefix(raw)
 
     cases = [_case_at(parsed_case, a) for a in alphas]
     case0 = cases[0]
     if case0.u_exact is None:
         raise ConfigError("convergence needs a case with an exact solution")
     pts = _materialize_points(_parse_points(raw["points"]), case0.domain, walk0.epsilon)
+    _check_starts(pts, case0.domain, walk0.epsilon)
+    prefix = _output_prefix(raw)
 
     table = {}  # (alpha, N) -> (paper_error, rmse)
     for a, case in zip(alphas, cases):
@@ -375,11 +394,12 @@ def cmd_steps(raw, threads=None, seed_override=None):
     if not alphas:
         raise ConfigError("alphas must be nonempty")
     walk = _parse_walk(raw.get("walk"), seed_override)
-    prefix = _output_prefix(raw)
 
     cases = [_case_at(parsed_case, a) for a in alphas]
     case0 = cases[0]
     pts = _materialize_points(_parse_points(raw["points"]), case0.domain, walk.epsilon)
+    _check_starts(pts, case0.domain, walk.epsilon)
+    prefix = _output_prefix(raw)
     # abs_x is the distance from a ball's centre, for other domains from the origin
     dom = case0.domain
     rel = pts - dom.center if isinstance(dom, BallDomain) else pts
@@ -464,9 +484,7 @@ def cmd_field(raw, threads=None, seed_override=None):
 
 
 def cmd_constants(args):
-    n, alpha, eps, r = args.n, args.alpha, args.epsilon, args.radius
-    if not 0.0 < alpha < 2.0:
-        raise ConfigError(f"alpha must lie in (0, 2), got {alpha}")
+    n, alpha, eps, r = args.n, _check_alpha(args.alpha), args.epsilon, args.radius
     if n < 2:
         raise ConfigError("n must be at least 2")
     kc = make_constants(n, alpha)

@@ -42,7 +42,6 @@ import scipy.special as sc
 from . import sampling
 from .geometry import Domain
 from .kernels import ALPHA_MAX, ALPHA_MIN, KernelConstants
-from .specfun import BetaParams, beta, inc_beta
 
 __all__ = [
     "ProblemSpec",
@@ -69,9 +68,11 @@ class StepCapExceeded(RuntimeError):
 class ProblemSpec:
     """The problem: exponent alpha, source f on the domain, exterior data g.
 
-    f maps points in the domain to reals (None means f == 0); g maps points
-    of the complement, boundary included, to reals and must be evaluable
-    arbitrarily far out because the jump law is heavy-tailed.
+    f and g are batch fields: each takes an (m, n) array of points and
+    returns an (m,) array of values.  f is evaluated in the domain (None
+    means f == 0); g is evaluated on the complement, boundary included, and
+    must be evaluable arbitrarily far out because the jump law is
+    heavy-tailed.
     """
 
     n: int
@@ -97,7 +98,6 @@ class WalkConfig:
     num_paths: int
     seed: int
     max_steps: int = 1_000_000
-    zeta_quad_points: int = 64
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -106,8 +106,8 @@ class WalkConfig:
             raise ValueError("num_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.max_steps < 1 or self.zeta_quad_points < 1:
-            raise ValueError("max_steps and zeta_quad_points must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,33 +137,18 @@ class Estimate:
 
 
 class _FieldEval:
-    """Adapter calling a scalar or batch field on (m, n) point arrays.
-
-    The first call decides the mode: a callable that accepts the array and
-    returns shape (m,) is used vectorized, anything else is looped per
-    point.  Later failures propagate untouched."""
+    """Calls a batch field once per (m, n) point array and checks that it
+    returns shape (m,); the field's own exceptions propagate untouched."""
 
     def __init__(self, fn):
         self._fn = fn
-        self._mode = None
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self._mode is None:
-            try:
-                out = np.asarray(self._fn(pts), dtype=float)
-                if out.shape == (pts.shape[0],):
-                    self._mode = "batch"
-                    return out
-            except Exception:
-                pass
-            self._mode = "scalar"
-        if self._mode == "batch":
-            out = np.asarray(self._fn(pts), dtype=float)
-            if out.shape != (pts.shape[0],):
-                raise ValueError("field returned a wrong-shaped batch")
-            return out
-        return np.array([float(self._fn(p)) for p in pts])
+        out = np.asarray(self._fn(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
+            raise ValueError("field returned a wrong-shaped batch")
+        return out
 
 
 def _check_consistency(problem: ProblemSpec, constants: KernelConstants):
@@ -412,30 +397,27 @@ def estimate_field(
 def step_bound(n: int, alpha: float, r: float, epsilon: float):
     """Analytic walk-length diagnostic for a ball domain of radius r.
 
-    Returns (p_star, q_star, bound) with
+    Returns (p_star, q_star, bound) with, for I the regularized incomplete
+    Beta with parameters (alpha/2, 1 - alpha/2),
 
-        pref   = (pi^(n/2) / Gamma(n/2)) * c_tilde(n, alpha)
-        p_star = pref * [B(alpha/2, 1-alpha/2) - B(eps^2/r^2; alpha/2, 1-alpha/2)]
-        q_star = 1 - pref * [B(alpha/2, 1-alpha/2) - B((r-eps)^2/r^2; ...)]
+        p_star = 1 - I_{eps^2/r^2}
+        q_star = I_{(r-eps)^2/r^2}
         bound  = 1 + q_star / (1 - p_star)^2
 
-    bound is an upper bound on the expected number of steps; it is loose
-    (the underlying comparison walk uses smaller balls than the solver)."""
+    (the prefactor pi^(n/2)/Gamma(n/2) * c_tilde times the complete Beta
+    B(alpha/2, 1-alpha/2) is 1 by the reflection formula, so n drops out).
+    1 - p_star enters the bound as I_{eps^2/r^2} itself, never by
+    subtraction from 1.  bound is an upper bound on the expected number of
+    steps; it is loose (the underlying comparison walk uses smaller balls
+    than the solver)."""
     if not 0 < epsilon < r:
         raise ValueError("need 0 < epsilon < r")
-    # pref * complete Beta == 1 by the reflection formula; written out the
-    # long way to mirror the analytic expression
-    pref = (
-        np.pi ** (n / 2.0)
-        / sc.gamma(n / 2.0)
-        * (sc.gamma(n / 2.0) * np.sin(np.pi * alpha / 2.0) / np.pi ** (n / 2.0 + 1.0))
-    )
-    p = BetaParams(alpha / 2.0, 1.0 - alpha / 2.0)
-    complete = beta(p.a, p.b)
-    p_star = pref * (complete - inc_beta((epsilon / r) ** 2, p))
-    q_star = 1.0 - pref * (complete - inc_beta(((r - epsilon) / r) ** 2, p))
-    bound = 1.0 + q_star / (1.0 - p_star) ** 2
-    return float(p_star), float(q_star), float(bound)
+    if not 0 < alpha < 2:
+        raise ValueError("need 0 < alpha < 2")
+    a, b = alpha / 2.0, 1.0 - alpha / 2.0
+    tail = float(sc.betainc(a, b, (epsilon / r) ** 2))
+    q_star = float(sc.betainc(a, b, ((r - epsilon) / r) ** 2))
+    return 1.0 - tail, q_star, 1.0 + q_star / tail**2
 
 
 def error_metric(estimates, exact):

@@ -22,12 +22,12 @@ From the center the jump distance gamma has the exact CDF
 and the interior (source) sample has radial density s^(alpha-1) w(s)/Z
 on (0,1) with w(s) = B_full - B(s^2; (n-alpha)/2, alpha/2).  The weight
 zeta multiplying the source sample scales exactly like r^alpha:
-zeta(center) = r^alpha * zeta_unit.
+zeta(center) = r^alpha * zeta_unit, where zeta_unit, the mean exit time
+from the center of the unit ball (Getoor 1961), has the closed form
 
-zeta_unit is computed by Gauss-Jacobi quadrature with weight s^(alpha-1)
-on a doubling ladder; successive doublings are Richardson-extrapolated
-(the raw rule converges like m^-(2+alpha) because of the (1-s^2)^(alpha/2)
-endpoint behavior, and pushing m past ~10^4 only accumulates node noise).
+      zeta_unit = Gamma(n/2) / (2^alpha Gamma(1+alpha/2) Gamma((n+alpha)/2)).
+
+The kernel functions take the ball as a geometry.BallDomain.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ import numpy as np
 import scipy.special as sc
 from scipy.special import gammaln
 
-from .sampling import RngStream
-from .specfun import gauss_jacobi_rule
+from .geometry import BallDomain
 
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
-    "BallGeom",
     "KernelConstants",
     "make_constants",
     "poisson_kernel",
@@ -52,7 +50,6 @@ __all__ = [
     "exit_radius_cdf",
     "interior_radial_weight",
     "zeta_center",
-    "zeta_general",
 ]
 
 # Public supported order range.  Outside it sin(pi*alpha/2) and
@@ -60,9 +57,6 @@ __all__ = [
 # useful guarantees, so we refuse rather than return garbage.
 ALPHA_MIN = 0.05
 ALPHA_MAX = 1.95
-
-_ZETA_TOL = 1e-10
-_ZETA_MAX_POINTS = 8192
 
 
 def _check_alpha(alpha: float) -> float:
@@ -74,25 +68,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True, eq=False)
-class BallGeom:
-    """A ball in R^n: center point and positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.ndim != 1:
-            raise ValueError("ball center must be a flat coordinate vector")
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.center.shape[0]
-
-
 @dataclass(frozen=True)
 class KernelConstants:
     """Precomputed constants of the ball kernels for one (n, alpha)."""
@@ -102,55 +77,19 @@ class KernelConstants:
     c_tilde: float  # Gamma(n/2) sin(pi alpha/2) / pi^(n/2+1)
     c_hat: float  # Gamma(n/2) / (2^alpha pi^(n/2) Gamma(alpha/2)^2)
     beta_full: float  # B((n-alpha)/2, alpha/2)
-    zeta_unit: float  # zeta at the center of the UNIT ball
+    zeta_unit: float  # Gamma(n/2) / (2^alpha Gamma(1+alpha/2) Gamma((n+alpha)/2))
 
 
-def _zeta_integrand(s, n, alpha, beta_full):
-    # w(s) on the quadrature nodes, complement form (exact at both ends)
-    return beta_full * sc.betainc(alpha / 2.0, (n - alpha) / 2.0, 1.0 - s * s)
-
-
-def _zeta_unit_quadrature(n: int, alpha: float, beta_full: float, quad_points: int) -> float:
-    pref = np.exp(-(alpha - 1.0) * np.log(2.0) - 2.0 * gammaln(alpha / 2.0))
-    m = int(quad_points)
-    vals = []
-    extraps = []
-    while m <= _ZETA_MAX_POINTS:
-        s, w = gauss_jacobi_rule(m, alpha - 1.0)
-        vals.append(pref * float(np.sum(w * _zeta_integrand(s, n, alpha, beta_full))))
-        if len(vals) >= 3:
-            d1 = vals[-2] - vals[-3]
-            d2 = vals[-1] - vals[-2]
-            if d1 != 0.0 and 0.0 < d2 / d1 < 0.9:
-                ratio = d2 / d1
-                extraps.append(vals[-1] + d2 * ratio / (1.0 - ratio))
-            else:
-                extraps.append(vals[-1])
-            if len(extraps) >= 2 and abs(extraps[-1] - extraps[-2]) < _ZETA_TOL:
-                return extraps[-1]
-        if len(vals) >= 2 and abs(vals[-1] - vals[-2]) < _ZETA_TOL:
-            return vals[-1] if not extraps else extraps[-1]
-        m *= 2
-    raise RuntimeError(
-        f"zeta quadrature did not converge to {_ZETA_TOL} within {_ZETA_MAX_POINTS} points"
-    )
-
-
-def make_constants(n: int, alpha: float, quad_points: int = 64) -> KernelConstants:
+def make_constants(n: int, alpha: float) -> KernelConstants:
     """Evaluate all kernel constants for dimension n and order alpha.
 
     Requires n >= 2: with alpha < 2 that keeps alpha < n, the branch on
-    which the Beta form of the Green function is valid, and it is the
-    regime where the zeta quadrature ladder certifies 1e-10
-    self-consistency (for n = 1 the endpoint exponents defeat the Jacobi
-    weight and double-precision nodes cannot reach that tolerance).
+    which the Beta form of the Green function is valid.
     """
     n = int(n)
     if n < 2:
         raise ValueError("kernel constants require dimension n >= 2")
     alpha = _check_alpha(alpha)
-    if quad_points < 1:
-        raise ValueError("quad_points must be >= 1")
     half_n = 0.5 * n
     c_tilde = float(
         np.exp(gammaln(half_n) - (half_n + 1.0) * np.log(np.pi))
@@ -165,7 +104,14 @@ def make_constants(n: int, alpha: float, quad_points: int = 64) -> KernelConstan
         )
     )
     beta_full = float(sc.beta((n - alpha) / 2.0, alpha / 2.0))
-    zeta_unit = _zeta_unit_quadrature(n, alpha, beta_full, quad_points)
+    zeta_unit = float(
+        np.exp(
+            gammaln(half_n)
+            - alpha * np.log(2.0)
+            - gammaln(1.0 + alpha / 2.0)
+            - gammaln(half_n + alpha / 2.0)
+        )
+    )
     return KernelConstants(
         n=n,
         alpha=alpha,
@@ -176,14 +122,14 @@ def make_constants(n: int, alpha: float, quad_points: int = 64) -> KernelConstan
     )
 
 
-def _center_relative(ball: BallGeom, pts):
+def _center_relative(ball: BallDomain, pts):
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
     rel = np.atleast_2d(pts) - ball.center[None, :]
     return rel, single
 
 
-def poisson_kernel(ball: BallGeom, x, z, k: KernelConstants):
+def poisson_kernel(ball: BallDomain, x, z, k: KernelConstants):
     """Exit-position density P_r(x, z): x strictly inside, z strictly outside."""
     xt, x_single = _center_relative(ball, x)
     zt, z_single = _center_relative(ball, z)
@@ -199,7 +145,7 @@ def poisson_kernel(ball: BallGeom, x, z, k: KernelConstants):
     return float(val[0]) if (x_single and z_single) else val
 
 
-def green_function(ball: BallGeom, x, y, k: KernelConstants):
+def green_function(ball: BallDomain, x, y, k: KernelConstants):
     """Occupation (Green) density Q_r(x, y) for x != y strictly inside the ball."""
     xt, x_single = _center_relative(ball, x)
     yt, y_single = _center_relative(ball, y)
@@ -273,51 +219,7 @@ def interior_radial_weight(s, n: int, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def zeta_center(ball: BallGeom, k: KernelConstants) -> float:
+def zeta_center(ball: BallDomain, k: KernelConstants) -> float:
     """Green mass of the ball seen from its center: radius^alpha * zeta_unit."""
     return ball.radius**k.alpha * k.zeta_unit
 
-
-def zeta_general(ball: BallGeom, x, k: KernelConstants, mc_samples: int, seed: int):
-    """Monte Carlo estimate of zeta(x) = int_ball Q_r(x, y) dy, x off-center.
-
-    Uniform sampling over the ball (radius ~ r U^(1/n) times a uniform
-    direction).  Returns (value, stderr).  Note the integrand has an
-    integrable |y-x|^(alpha-n) singularity, so for small alpha the sample
-    variance is heavy-tailed and stderr is only indicative; the solver
-    itself never uses zeta off-center (jumps always start at ball
-    centers), this is a diagnostic.
-    """
-    x = np.asarray(x, dtype=float)
-    xt = x - ball.center
-    if np.sum(xt * xt) >= ball.radius**2:
-        raise ValueError("zeta_general: x must lie strictly inside the ball")
-    if mc_samples < 2:
-        raise ValueError("zeta_general needs at least 2 samples")
-    rng = RngStream(seed, 0)
-    n = k.n
-    chunk = 200_000
-    total = 0.0
-    total_sq = 0.0
-    left = int(mc_samples)
-    while left > 0:
-        m = min(chunk, left)
-        left -= m
-        z = rng.normals(m * n).reshape(m, n)
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        u = rng.uniforms(m)
-        y = ball.center[None, :] + (ball.radius * u[:, None] ** (1.0 / n)) * z
-        # guard the measure-zero event y == x exactly
-        good = np.any(y != x[None, :], axis=1)
-        q = np.zeros(m)
-        q[good] = green_function(ball, x, y[good], k)
-        total += float(np.sum(q))
-        total_sq += float(np.sum(q * q))
-    vol = float(
-        np.exp((n / 2.0) * np.log(np.pi) - gammaln(n / 2.0 + 1.0)) * ball.radius**n
-    )
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean * mean, 0.0) * mc_samples / (mc_samples - 1)
-    value = vol * mean
-    stderr = vol * np.sqrt(var / mc_samples)
-    return value, stderr

@@ -80,6 +80,24 @@ def _jacobi_rule_01(m: int, expo_right: float, expo_left: float):
     return 0.5 * (1.0 + x), w * 2.0 ** (-(expo_right + expo_left + 1.0))
 
 
+def _angular_nodes(n: int, angular_pts: int):
+    """Directions on S^(n-1), n in {2, 3}, in the local frame whose first
+    axis points along x: a list of (cosine against that axis, unit vector,
+    weight).  The circle takes equal angles; the sphere a Gauss-Legendre
+    rule in the cosine times equal azimuths."""
+    phi = 2.0 * np.pi * np.arange(angular_pts) / angular_pts
+    wphi = 2.0 * np.pi / angular_pts
+    if n == 2:
+        return [(np.cos(p), np.array([np.cos(p), np.sin(p)]), wphi) for p in phi]
+    cg, wg = sc.roots_legendre(angular_pts)
+    nodes = []
+    for c, wc in zip(cg, wg):
+        s = np.sqrt(max(0.0, 1.0 - c * c))
+        for p in phi:
+            nodes.append((c, np.array([c, s * np.cos(p), s * np.sin(p)]), wc * wphi))
+    return nodes
+
+
 def _householder_frame(direction):
     """Orthogonal matrix mapping e1 to `direction` (unit vector)."""
     n = direction.shape[0]
@@ -109,22 +127,9 @@ def _interior_integral(f, center, xi, rot, r, n, alpha, kc, radial_pts, angular_
     r2mx2 = r * r - xi * xi
     sig_pow = sig ** (alpha - 1.0)
 
-    if n == 2:
-        psi = 2.0 * np.pi * np.arange(angular_pts) / angular_pts
-        ang_nodes = [(np.cos(p), np.array([np.cos(p), np.sin(p)]), 2.0 * np.pi / angular_pts) for p in psi]
-    else:
-        cg, wg = sc.roots_legendre(angular_pts)
-        phi = 2.0 * np.pi * np.arange(angular_pts) / angular_pts
-        wphi = 2.0 * np.pi / angular_pts
-        ang_nodes = []
-        for c, wc in zip(cg, wg):
-            s = np.sqrt(max(0.0, 1.0 - c * c))
-            for p in phi:
-                ang_nodes.append((c, np.array([c, s * np.cos(p), s * np.sin(p)]), wc * wphi))
-
     x_world = center + xi * rot[:, 0]
     total = 0.0
-    for c, e_local, w_ang in ang_nodes:
+    for c, e_local, w_ang in _angular_nodes(n, angular_pts):
         root = np.sqrt(r * r - xi * xi * (1.0 - c * c))
         qp = -xi * c + root
         q2 = -(xi * c + root)
@@ -150,21 +155,8 @@ def _exterior_integral(g, center, xi, rot, r, n, alpha, kc, radial_pts, angular_
     pre = kc.c_tilde * (r * r - xi * xi) ** (alpha / 2.0) * r ** (n - alpha)
     smooth_t = (1.0 + t) ** (-alpha / 2.0)
 
-    if n == 2:
-        phi = 2.0 * np.pi * np.arange(angular_pts) / angular_pts
-        ang_nodes = [(np.cos(p), np.array([np.cos(p), np.sin(p)]), 2.0 * np.pi / angular_pts) for p in phi]
-    else:
-        cg, wg = sc.roots_legendre(angular_pts)
-        phi = 2.0 * np.pi * np.arange(angular_pts) / angular_pts
-        wphi = 2.0 * np.pi / angular_pts
-        ang_nodes = []
-        for c, wc in zip(cg, wg):
-            s = np.sqrt(max(0.0, 1.0 - c * c))
-            for p in phi:
-                ang_nodes.append((c, np.array([c, s * np.cos(p), s * np.sin(p)]), wc * wphi))
-
     total = 0.0
-    for c, e_local, w_ang in ang_nodes:
+    for c, e_local, w_ang in _angular_nodes(n, angular_pts):
         # t^2 |x - z|^2 = (r - t xi c)^2 + (t xi)^2 (1 - c^2), never zero
         dden = (r - t * xi * c) ** 2 + (t * xi) ** 2 * (1.0 - c * c)
         e_world = rot @ e_local

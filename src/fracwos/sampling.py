@@ -1,4 +1,4 @@
-"""Reproducible sampling of jump distances and interior points on balls.
+"""Counter-based random streams and the transforms the walk applies to them.
 
 The random plumbing is a vectorized Philox4x64-10 counter-based generator
 (same keyed algorithm as numpy.random.Philox, validated against it in the
@@ -11,19 +11,21 @@ The solver keys stream_id by path index and substream by a hash of the
 evaluation point, which makes whole-field runs order-independent and
 duplicate points bit-identical.
 
-Distributions implemented on top:
-
-* ``sample_exit_radius``  - the heavy-tailed jump distance out of a ball,
-  gamma = r * x^(-1/2) with x = I^(-1)(u; alpha/2, 1-alpha/2).  (The jump
-  CDF is F(gamma) = 1 - I_{r^2/gamma^2}(alpha/2, 1-alpha/2); drawing u
-  uniform and inverting the complement is equivalent because 1-u is also
-  uniform.  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)
-* ``sample_interior_radius`` - the normalized radial Green density
-  s^(alpha-1) w(s) / Z on (0, 1), by rejection from the proposal
-  alpha * s^(alpha-1) (i.e. s = U^(1/alpha)) with acceptance probability
-  w(s)/w(0+) = I_{1-s^2}(alpha/2, (n-alpha)/2), which is a provable
-  envelope because w is decreasing.
-* ``unit_direction`` - uniform on the sphere via normalized Gaussians.
+* ``StreamBatch`` - one addressed stream per path, each with its own block
+  counter; ``uniforms`` draws whole blocks for a subset of the paths.
+* ``box_muller`` - standard normals from pairs of uniforms; the walk
+  normalizes n of them to a uniform direction on the sphere.
+* ``exit_radius_from_uniform`` - the heavy-tailed jump distance out of a
+  ball, gamma = r * x^(-1/2) with x = I^(-1)(u; alpha/2, 1-alpha/2).  (The
+  jump CDF is F(gamma) = 1 - I_{r^2/gamma^2}(alpha/2, 1-alpha/2); inverting
+  the complement with u uniform is equivalent because 1-u is also uniform.
+  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)
+* ``interior_accept_prob`` - the acceptance probability of the interior
+  (source) radius.  Its radial density s^(alpha-1) w(s) / Z on (0, 1) is
+  sampled by rejection from the proposal alpha * s^(alpha-1) (s = U^(1/alpha))
+  with acceptance w(s)/w(0+) = I_{1-s^2}(alpha/2, (n-alpha)/2), a provable
+  envelope because w is decreasing.  The rejection loop itself is
+  engine._batch_interior_radii.
 """
 
 from __future__ import annotations
@@ -34,17 +36,11 @@ import numpy as np
 import scipy.special as sc
 
 __all__ = [
-    "RngStream",
     "StreamBatch",
     "box_muller",
     "philox4x64",
-    "unit_direction",
     "exit_radius_from_uniform",
     "interior_accept_prob",
-    "sample_exit_radius",
-    "sample_exit_point",
-    "sample_interior_radius",
-    "sample_interior_point",
     "point_substream",
 ]
 
@@ -75,9 +71,6 @@ _TILE_BLOCKS = 8192
 # infinity; clamping keeps the point finite (|jump| <= r * 1e150) without
 # measurably distorting the law.
 _MIN_INV_BETA = 1e-300
-
-# Rejection-cap for the interior radial sampler: 5e5 rounds of 2 proposals.
-_MAX_REJECTION_ROUNDS = 500_000
 
 
 def _tiles(shape):
@@ -219,10 +212,6 @@ class StreamBatch:
         self.position[idx] = pos + np.uint64(nblocks)
         return out.reshape(idx.shape[0], 4 * nblocks)[:, :m]
 
-    def normals(self, idx, m: int):
-        """Draw m standard normals per path in idx (Box-Muller on pairs)."""
-        return box_muller(self.uniforms(idx, 2 * (-(-m // 2))), m)
-
 
 def box_muller(u, m: int):
     """The first m standard normals from uniforms u of shape (rows, >= m):
@@ -236,84 +225,11 @@ def box_muller(u, m: int):
     return z[:, :m]
 
 
-class RngStream:
-    """A single addressed random stream: (seed, stream_id[, substream]).
-
-    Replays identically for equal addresses; streams with different
-    addresses are independent (distinct Philox counter blocks).
-    """
-
-    def __init__(self, seed: int, stream_id: int, substream: int = 0):
-        self._batch = StreamBatch(seed, [stream_id], substream)
-        self._idx = np.array([0], dtype=np.intp)
-
-    @property
-    def seed(self):
-        return int(self._batch.seed)
-
-    @property
-    def stream_id(self):
-        return int(self._batch.stream_ids[0])
-
-    @property
-    def substream(self):
-        return int(self._batch.substreams[0])
-
-    @property
-    def position(self):
-        """Number of counter blocks consumed so far."""
-        return int(self._batch.position[0])
-
-    def uniforms(self, m: int):
-        return self._batch.uniforms(self._idx, m)[0]
-
-    def normals(self, m: int):
-        return self._batch.normals(self._idx, m)[0]
-
-
-def unit_direction(n: int, rng: RngStream, size: int | None = None):
-    """Uniform direction(s) on the unit sphere S^(n-1).
-
-    Returns shape (n,) for size=None, else (size, n).  n = 1 draws a
-    fair sign; n >= 2 normalizes a Gaussian vector.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    k = 1 if size is None else int(size)
-    if n == 1:
-        u = rng.uniforms(k)
-        d = np.where(u < 0.5, -1.0, 1.0)[:, None]
-    else:
-        z = rng.normals(k * n).reshape(k, n)
-        d = z / np.linalg.norm(z, axis=1, keepdims=True)
-    return d[0] if size is None else d
-
-
 def exit_radius_from_uniform(r, alpha: float, u):
     """Map uniforms in (0,1) to jump distances; pure transform, broadcasts."""
     x = sc.betaincinv(alpha / 2.0, 1.0 - alpha / 2.0, u)
     x = np.maximum(x, _MIN_INV_BETA)
     return r / np.sqrt(x)
-
-
-def sample_exit_radius(r: float, alpha: float, rng: RngStream, size: int | None = None):
-    """Jump distance(s) gamma > r out of a ball of radius r (from its center).
-
-    gamma = r * x^(-1/2), x = I^(-1)(u; alpha/2, 1 - alpha/2), u uniform.
-    """
-    if not r > 0:
-        raise ValueError("ball radius must be positive")
-    k = 1 if size is None else int(size)
-    gamma = exit_radius_from_uniform(r, alpha, rng.uniforms(k))
-    return float(gamma[0]) if size is None else gamma
-
-
-def sample_exit_point(ball, alpha: float, rng: RngStream):
-    """Exit point of one jump from the ball center: center + gamma * u."""
-    center = np.asarray(ball.center, dtype=float)
-    gamma = sample_exit_radius(ball.radius, alpha, rng)
-    d = unit_direction(center.shape[0], rng)
-    return center + gamma * d
 
 
 def interior_accept_prob(s, n, alpha):
@@ -322,50 +238,6 @@ def interior_accept_prob(s, n, alpha):
     Regularized incomplete Beta evaluated on the complement to avoid
     cancellation near s = 1.  Broadcasts over s."""
     return sc.betainc(alpha / 2.0, (n - alpha) / 2.0, 1.0 - s * s)
-
-
-def sample_interior_radius(n: int, alpha: float, rng: RngStream, size: int | None = None):
-    """Radial coordinate s in (0,1) of the interior (source) sample.
-
-    Density s^(alpha-1) w(s) / Z.  Rejection sampling: each round draws one
-    counter block (two proposal/acceptance pairs); a sample takes the first
-    accepted proposal.  The round cap (5e5 rounds, 1e6 proposals) is a
-    diagnostic safeguard, never reached for supported (n, alpha).
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if not 0 < alpha < 2 or alpha >= n + 2:  # alpha < n required by w
-        raise ValueError("alpha outside supported range")
-    if alpha >= n:
-        raise ValueError("interior radial law requires alpha < n")
-    k = 1 if size is None else int(size)
-    out = np.empty(k)
-    pending = np.arange(k)
-    inv_alpha = 1.0 / alpha
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
-            break
-        u = rng.uniforms(4 * pending.size).reshape(pending.size, 4)
-        accepted = np.full(pending.size, False)
-        for j in (0, 2):
-            s = u[:, j] ** inv_alpha
-            ok = (~accepted) & (u[:, j + 1] <= interior_accept_prob(s, n, alpha))
-            out[pending[ok]] = s[ok]
-            accepted |= ok
-        pending = pending[~accepted]
-    if pending.size:
-        raise RuntimeError("interior radius rejection exceeded the proposal cap")
-    return float(out[0]) if size is None else out
-
-
-def sample_interior_point(ball, n: int, alpha: float, rng: RngStream):
-    """Interior (source) sample of one jump: center + (radius * s) * u."""
-    center = np.asarray(ball.center, dtype=float)
-    if center.shape[0] != n:
-        raise ValueError("ball center dimension disagrees with n")
-    s = sample_interior_radius(n, alpha, rng)
-    d = unit_direction(n, rng)
-    return center + (ball.radius * s) * d
 
 
 def point_substream(x) -> int:

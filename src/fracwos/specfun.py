@@ -9,8 +9,6 @@ the conventions that actually bite:
 * ``hyp2f1``/``hyp1f1`` are only guaranteed on the nonpositive real axis
   (z in [-40, 0]), which is the range the manufactured source terms use;
   both are validated against frozen 60-digit series references.
-* ``gauss_jacobi_rule`` returns nodes/weights for the weight s**exponent
-  on (0, 1), i.e. already mapped from the textbook (-1, 1) Jacobi form.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -18,7 +16,6 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as sc
@@ -27,10 +24,8 @@ __all__ = [
     "BetaParams",
     "beta",
     "inc_beta",
-    "inv_reg_inc_beta",
     "hyp2f1",
     "hyp1f1",
-    "gauss_jacobi_rule",
 ]
 
 
@@ -75,16 +70,6 @@ def inc_beta(x, p):
     return float(out) if out.ndim == 0 else out
 
 
-def inv_reg_inc_beta(u, p):
-    """Inverse of the regularized incomplete Beta: x with I_x(a, b) = u."""
-    a, b = _as_params(p)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0) or np.any(u > 1):
-        raise ValueError("inv_reg_inc_beta requires u in [0, 1]")
-    out = sc.betaincinv(a, b, u)
-    return float(out) if out.ndim == 0 else out
-
-
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0.
 
@@ -117,27 +102,3 @@ def hyp1f1(a, c, z):
     out = sc.hyp1f1(a, c, z)
     return float(out) if out.ndim == 0 else out
 
-
-@lru_cache(maxsize=128)
-def _gauss_jacobi_cached(m: int, exponent: float):
-    # roots_jacobi targets int_{-1}^{1} (1-t)^p (1+t)^q f(t) dt; map to
-    # int_0^1 s^exponent f(s) ds via s = (1+t)/2, picking p=0, q=exponent.
-    t, w = sc.roots_jacobi(m, 0.0, exponent)
-    nodes = 0.5 * (t + 1.0)
-    weights = w / 2.0 ** (exponent + 1.0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def gauss_jacobi_rule(m: int, exponent: float):
-    """Nodes and weights for int_0^1 s**exponent q(s) ds, exact for deg(q) <= 2m-1.
-
-    Returns a pair of read-only arrays (nodes, weights), nodes strictly
-    inside (0, 1), weights positive.
-    """
-    if m < 1:
-        raise ValueError("gauss_jacobi_rule requires m >= 1")
-    if not exponent > -1:
-        raise ValueError("gauss_jacobi_rule requires exponent > -1")
-    return _gauss_jacobi_cached(int(m), float(exponent))

@@ -23,11 +23,14 @@ import math
 import pathlib
 
 import numpy as np
+from scipy.special import betaincinv
+from zeta_reference import gauss_jacobi_rule, zeta_unit_quadrature
 
 from fracwos import sampling
 from fracwos.engine import (
     ProblemSpec,
     WalkConfig,
+    _batch_interior_radii,
     error_metric,
     estimate_point,
     step_bound,
@@ -46,11 +49,9 @@ from fracwos.oracle import (
 from fracwos.specfun import (
     BetaParams,
     beta,
-    gauss_jacobi_rule,
     hyp1f1,
     hyp2f1,
     inc_beta,
-    inv_reg_inc_beta,
 )
 
 _DATA = pathlib.Path(__file__).parent / "data"
@@ -125,7 +126,9 @@ def test_criterion_03_ten_dimensional_center():
 
     From the center every path exits in one step and the constant source
     makes all scores equal, so stderr collapses to summation rounding; the
-    absolute floor 1e-9 keeps the gate meaningful there."""
+    absolute floor 1e-9 keeps the gate meaningful there.  The closed-form
+    zeta_unit is checked against an independent quadrature of the radial
+    Green density (tests/zeta_reference.py)."""
     for alpha in (0.8, 1.6):
         case = make_case("ball10_constant_source", alpha)
         k = make_constants(10, alpha)
@@ -137,6 +140,7 @@ def test_criterion_03_ten_dimensional_center():
         for alpha in (0.8, 1.6):
             k = make_constants(n, alpha)
             assert abs(k.zeta_unit * _constant_source(n, alpha) - 1.0) <= 1e-9
+            assert abs(k.zeta_unit / zeta_unit_quadrature(n, alpha) - 1.0) <= 1e-9
 
 
 def test_criterion_04_lshape_gaussian():
@@ -167,26 +171,29 @@ def test_criterion_05_monte_carlo_rate():
 
 
 def test_criterion_06_sampler_laws():
-    """KS at the 1% level for both jump laws on the (n, alpha) grid."""
+    """KS at the 1% level for both jump laws on the (n, alpha) grid, drawn
+    through the samplers the walk runs: exit radii from one stream each,
+    interior radii from the walk's rejection loop over N path streams."""
     N = 100_000
+    paths = np.arange(N)
     idx = 0
     for n in (2, 3, 10):
         for alpha in (0.4, 1.0, 1.6):
-            rng_e = sampling.RngStream(123, 2000 + idx)
-            gam = sampling.sample_exit_radius(1.0, alpha, rng_e, size=N)
+            u_e = sampling.StreamBatch(123, [2000 + idx]).uniforms([0], N)[0]
+            gam = sampling.exit_radius_from_uniform(1.0, alpha, u_e)
             u = np.sort(exit_radius_cdf(np.sort(gam), 1.0, alpha))
             d_e = _ks_sqrtn_d(u)
             assert d_e < _KS_1PCT, f"exit law n={n} alpha={alpha}: {d_e}"
 
-            rng_i = sampling.RngStream(456, 1000 + idx)
-            s = sampling.sample_interior_radius(n, alpha, rng_i, size=N)
+            batch = sampling.StreamBatch(456, paths, 1000 + idx)
+            s = _batch_interior_radii(batch, paths, n, alpha)
             ui = np.sort(_interior_radial_cdf(np.sort(s), n, alpha))
             d_i = _ks_sqrtn_d(ui)
             assert d_i < _KS_1PCT, f"interior law n={n} alpha={alpha}: {d_i}"
             idx += 1
     # at alpha = 1 the exit CDF is arcsine-type with median exactly r*sqrt(2)
-    rng = sampling.RngStream(9, 4)
-    med = float(np.median(sampling.sample_exit_radius(2.0, 1.0, rng, size=N)))
+    u_m = sampling.StreamBatch(9, [4]).uniforms([0], N)[0]
+    med = float(np.median(sampling.exit_radius_from_uniform(2.0, 1.0, u_m)))
     assert abs(med / (2.0 * math.sqrt(2.0)) - 1.0) <= 5e-3
 
 
@@ -297,7 +304,8 @@ def test_criterion_09_shell_bias_rate():
 
 def test_criterion_10_special_function_accuracy():
     """Beta round trips to 1e-10 and hypergeometrics against 60-digit
-    references.
+    references.  The inverse is scipy's betaincinv, which the exit-radius
+    transform calls.
 
     The round trip is measured in the value domain, started from an
     abscissa: u = I_x(a,b), x' = I^(-1)(u), |I_(x')(a,b) - u| <= 1e-10.
@@ -313,7 +321,7 @@ def test_criterion_10_special_function_accuracy():
         x = float(rng.uniform(1e-6, 1.0 - 1e-6))
         full = beta(p.a, p.b)
         u = inc_beta(x, p) / full
-        x2 = inv_reg_inc_beta(u, p)
+        x2 = betaincinv(p.a, p.b, u)
         u2 = inc_beta(x2, p) / full
         worst_u = max(worst_u, abs(u2 - u))
         # abscissa-space comparison where the density is not vanishing

@@ -57,13 +57,27 @@ def test_constants_prints_analytic_values(capsys):
     assert float(vals["c_tilde"]) == k.c_tilde == pytest.approx(1.0 / math.pi**2)
     assert float(vals["c_hat"]) == k.c_hat
     assert float(vals["zeta_unit"]) == k.zeta_unit == pytest.approx(2.0 / math.pi)
-    assert "2465179657950.7329" in out
+    # within 1.3e-14 of the mpmath value 2465179658618.3188
+    assert "step_bound(r=1, epsilon=1e-06) = 2465179658618.2866" in out
 
 
 def test_constants_rejects_bad_parameters(capsys):
     assert cli.main(["constants", "--n", "2", "--alpha", "2.5"]) == 2
     assert cli.main(["constants", "--n", "1", "--alpha", "1.0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_constants_takes_the_kernel_alpha_range(capsys):
+    for alpha in ("0.01", "1.96"):
+        assert cli.main(["constants", "--n", "2", "--alpha", alpha]) == 2
+    assert "[0.05, 1.95]" in capsys.readouterr().err
+    # a small alpha inside the range, at which zeta_unit used to come from a
+    # quadrature ladder that did not converge
+    assert cli.main(["constants", "--n", "2", "--alpha", "0.25"]) == 0
+    vals = dict(
+        line.split(" = ") for line in capsys.readouterr().out.strip().split("\n")
+    )
+    assert float(vals["zeta_unit"]) == make_constants(2, 0.25).zeta_unit
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +431,42 @@ def test_inline_case_must_not_drop_g(tmp_path):
     assert cli.main(["solve", "--config", cfg]) == 2
 
 
-def test_exterior_start_point_is_runtime_error(tmp_path, capsys):
+def test_exterior_start_point_is_config_error(tmp_path, capsys):
     cfg = _solve_cfg(tmp_path, points={"type": "list", "values": [[2.0, 0.0]]})
-    assert cli.main(["solve", "--config", cfg]) == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert "point 0 [2.0, 0.0] lies outside the domain" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_estimates.csv").exists()
+
+
+def test_start_points_are_checked_before_any_walk(tmp_path, capsys):
+    # the README's L-shape grid: its nodes include the re-entrant corner and
+    # the removed quadrant, so solve refuses it before walking any point
+    cfg = _cfg(
+        tmp_path,
+        case={
+            "domain": {"type": "lshape"},
+            "n": 2,
+            "alpha": 1.0,
+            "f": "constant_source",
+            "g": "zero",
+        },
+        points={"type": "grid", "resolution": 41, "margin": 0.02},
+        walk={"epsilon": 1e-6, "num_paths": 20000, "seed": 0},
+        output=str(tmp_path / "lshape"),
+    )
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert "point 840 [0.0, 0.0] lies outside the domain" in capsys.readouterr().err
+    assert not (tmp_path / "lshape_estimates.csv").exists()
+    assert not (tmp_path / "lshape_summary.json").exists()
+    # a point in the epsilon-shell is refused by steps and convergence too
+    shell = {"type": "list", "values": [[0.0, 0.0], [0.9999999, 0.0]]}
+    steps = _cfg(tmp_path, "steps.json", case="disk_constant_source", points=shell,
+                 walk={"num_paths": 10}, output=str(tmp_path / "steps"))
+    conv = _cfg(tmp_path, "conv.json", case="disk_constant_source", points=shell,
+                path_ladder=[10, 20], output=str(tmp_path / "conv"))
+    for command, cfg_path in (("steps", steps), ("convergence", conv)):
+        assert cli.main([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "point 1 [0.9999999, 0.0] lies inside the epsilon-shell" in err
+    assert not (tmp_path / "steps_steps.csv").exists()
+    assert not (tmp_path / "conv_error_vs_N.csv").exists()

@@ -8,6 +8,7 @@ deterministic number for every path.  Both give bit-level expectations
 with zero Monte Carlo noise.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,7 @@ from fracwos.engine import (
     ProblemSpec,
     StepCapExceeded,
     WalkConfig,
+    _FieldEval,
     error_metric,
     estimate_field,
     estimate_point,
@@ -157,6 +159,18 @@ _GOLDEN = {
 }
 
 
+# zeta_unit as make_constants gave it when the golden values were recorded
+# (a Gauss-Jacobi quadrature ladder); the closed form now used differs by up
+# to 1.8e-10 relative.  The golden test pins the random stream, so the
+# source cases run with the recorded constant.
+_GOLDEN_ZETA = {
+    (2, 0.3): "0x1.ddb46b42971dbp-1",
+    (2, 1.0): "0x1.45f306dc96ca1p-1",
+    (2, 1.9): "0x1.1dc1becb84a64p-2",
+    (10, 1.2): "0x1.84ff84b929670p-3",
+}
+
+
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
 def test_golden_stream(name):
     dom, n, alpha, with_f, x0, num_paths, chunk = _GOLDEN_CASES[name]
@@ -169,6 +183,8 @@ def test_golden_stream(name):
     )
     cfg = WalkConfig(epsilon=1e-4, num_paths=num_paths, seed=2024)
     k = make_constants(n, alpha)
+    if with_f:
+        k = dataclasses.replace(k, zeta_unit=float.fromhex(_GOLDEN_ZETA[(n, alpha)]))
     x0 = np.array(x0, dtype=float)
     est = estimate_point(prob, cfg, k, x0, chunk_paths=chunk or num_paths)
     path = run_path(prob, cfg, k, x0, 17)
@@ -280,8 +296,14 @@ def test_step_bound_frozen_value():
     p_star, q_star, bound = step_bound(2, 1.0, 1.0, 1e-6)
     assert 0.0 < p_star < 1.0
     assert 0.0 < q_star < 1.0
-    assert bound == pytest.approx(2465179657950.7329, rel=1e-13)
-    assert bound == pytest.approx(1.0 + q_star / (1.0 - p_star) ** 2, rel=1e-15)
+    # reference value from mpmath at 50 digits
+    assert bound == pytest.approx(2465179658618.3186, rel=1e-13)
+    # at alpha = 1, I_x(1/2, 1/2) = (2/pi) asin(sqrt(x)).  The bound divides
+    # by the tail 1 - p_star = I_{eps^2/r^2} itself: p_star, a double near 1,
+    # keeps only about ten significant digits of that tail
+    tail = 2.0 / math.pi * math.asin(1e-6)
+    assert 1.0 - p_star == pytest.approx(tail, rel=1e-9)
+    assert bound == pytest.approx(1.0 + q_star / tail**2, rel=1e-15)
 
 
 def test_step_bound_monotone_in_epsilon():
@@ -296,6 +318,8 @@ def test_step_bound_validation():
         step_bound(2, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         step_bound(2, 1.0, 0.5, 0.7)
+    with pytest.raises(ValueError):
+        step_bound(2, 2.0, 1.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +375,6 @@ def test_walk_config_validation():
         WalkConfig(epsilon=1e-6, num_paths=10, seed=2**64)
     with pytest.raises(ValueError):
         WalkConfig(epsilon=1e-6, num_paths=10, seed=0, max_steps=0)
-    with pytest.raises(ValueError):
-        WalkConfig(epsilon=1e-6, num_paths=10, seed=0, zeta_quad_points=0)
 
 
 def test_start_point_validation():
@@ -369,6 +391,36 @@ def test_start_point_validation():
         estimate_point(prob, cfg, make_constants(3, 1.0), np.zeros(2))
     with pytest.raises(ValueError, match="different"):
         estimate_point(prob, cfg, make_constants(2, 1.1), np.zeros(2))
+
+
+def test_field_errors_propagate_from_one_batch_call():
+    calls = []
+
+    def broken(pts):
+        calls.append(np.shape(pts))
+        raise KeyError("bug inside the field")
+
+    with pytest.raises(KeyError, match="bug inside the field"):
+        _FieldEval(broken)(np.zeros((5, 2)))
+    assert calls == [(5, 2)]
+
+    prob = _ball_problem(2, 1.0, f=broken)
+    cfg = WalkConfig(epsilon=1e-4, num_paths=16, seed=0)
+    calls.clear()
+    with pytest.raises(KeyError, match="bug inside the field"):
+        estimate_point(prob, cfg, make_constants(2, 1.0), np.array([0.3, 0.0]))
+    assert calls == [(16, 2)]
+
+
+def test_field_wrong_shape_is_an_error():
+    def scalar_field(x):
+        return float(np.sum(x))
+
+    for fn in (scalar_field, lambda pts: np.zeros((pts.shape[0], 1))):
+        with pytest.raises(ValueError, match="wrong-shaped"):
+            _FieldEval(fn)(np.zeros((3, 2)))
+    one = _FieldEval(lambda pts: np.ones(pts.shape[0]))
+    assert one(np.zeros(2)).shape == (1,)
 
 
 def test_estimate_is_a_plain_record():

@@ -1,32 +1,29 @@
 """Counter-based random streams and the two jump distributions.
 
 The Philox block function is validated against numpy's implementation and
-the published Random123 known-answer vector; the distributional tests here
-run at moderate sample sizes (the full 1e5-draw KS battery lives in the
-acceptance suite).
+the published Random123 known-answer vector.  The distributional tests
+draw through what the walk runs (StreamBatch, box_muller,
+exit_radius_from_uniform and engine._batch_interior_radii) at moderate
+sample sizes; the full 1e5-draw KS battery lives in the acceptance suite.
 """
 
 import numpy as np
 import pytest
 from numpy.random import Philox
+from zeta_reference import gauss_jacobi_rule
 
 from fracwos import kernels
-from fracwos.engine import _batch_interior_radii
+from fracwos.engine import _batch_interior_radii, _unit_rows
+from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
-    RngStream,
     StreamBatch,
+    box_muller,
     exit_radius_from_uniform,
     interior_accept_prob,
     philox4x64,
     point_substream,
-    sample_exit_point,
-    sample_exit_radius,
-    sample_interior_point,
-    sample_interior_radius,
-    unit_direction,
 )
-from fracwos.specfun import gauss_jacobi_rule
 
 # 1% KS critical coefficient: D_N < 1.6276 / sqrt(N)
 _KS_1PCT = 1.6276
@@ -159,22 +156,28 @@ def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha):
 # streams
 
 
+def _stream(seed, stream_id, substream=0):
+    """Uniforms from one addressed stream: a StreamBatch of a single path."""
+    batch = StreamBatch(seed, [stream_id], substream)
+    return lambda m: batch.uniforms([0], m)[0]
+
+
 def test_stream_replay_is_exact():
-    a = RngStream(seed=42, stream_id=7, substream=3)
-    b = RngStream(seed=42, stream_id=7, substream=3)
-    assert np.array_equal(a.uniforms(13), b.uniforms(13))
-    assert np.array_equal(a.normals(6), b.normals(6))
+    a = StreamBatch(seed=42, stream_ids=[7], substreams=3)
+    b = StreamBatch(seed=42, stream_ids=[7], substreams=3)
+    for m in (13, 6):
+        assert np.array_equal(a.uniforms([0], m), b.uniforms([0], m))
 
 
 def test_streams_with_different_addresses_differ():
-    base = RngStream(0, 0).uniforms(8)
-    assert not np.array_equal(base, RngStream(1, 0).uniforms(8))
-    assert not np.array_equal(base, RngStream(0, 1).uniforms(8))
-    assert not np.array_equal(base, RngStream(0, 0, substream=1).uniforms(8))
+    base = _stream(0, 0)(8)
+    assert not np.array_equal(base, _stream(1, 0)(8))
+    assert not np.array_equal(base, _stream(0, 1)(8))
+    assert not np.array_equal(base, _stream(0, 0, substream=1)(8))
 
 
 def test_uniforms_live_in_the_open_interval():
-    u = RngStream(3, 5).uniforms(4096)
+    u = _stream(3, 5)(4096)
     assert np.all((u > 0.0) & (u < 1.0))
 
 
@@ -186,23 +189,24 @@ def test_batch_addressing_matches_single_streams():
     batch.uniforms(np.array([1]), 3)  # advance only the middle path
     got2 = batch.uniforms(np.array([0, 2]), 2)
     for row, sid in ((0, 100), (1, 300)):
-        solo = RngStream(seed=9, stream_id=sid, substream=4)
-        assert np.array_equal(got[row], solo.uniforms(5))
+        solo = _stream(9, sid, substream=4)
+        assert np.array_equal(got[row], solo(5))
         # 5 uniforms consumed 2 counter blocks (8 slots); replaying the
         # solo stream reproduces the batch continuation
-        assert np.array_equal(got2[row], solo.uniforms(2))
+        assert np.array_equal(got2[row], solo(2))
 
 
 def test_position_counts_blocks():
-    s = RngStream(0, 0)
-    s.uniforms(1)
-    assert s.position == 1
-    s.uniforms(5)  # two more blocks
-    assert s.position == 3
+    s = StreamBatch(0, [0])
+    s.uniforms([0], 1)
+    assert s.position[0] == 1
+    s.uniforms([0], 5)  # two more blocks
+    assert s.position[0] == 3
 
 
 def test_normals_are_standard():
-    z = RngStream(17, 0).normals(40_000)
+    z = box_muller(StreamBatch(17, [0]).uniforms([0], 40_000), 40_000)[0]
+    assert z.shape == (40_000,)
     assert abs(z.mean()) < 4.0 / np.sqrt(40_000)
     assert abs(z.std() - 1.0) < 0.02
 
@@ -211,42 +215,37 @@ def test_normals_are_standard():
 # directions
 
 
+def _directions(n, seed, size):
+    """Directions on S^(n-1) as the walk draws them: n Box-Muller normals
+    per path, normalized."""
+    idx = np.arange(size)
+    u = StreamBatch(seed, idx).uniforms(idx, 2 * -(-n // 2))
+    return _unit_rows(box_muller(u, n))
+
+
 def test_unit_direction_shapes_and_norms():
-    rng = RngStream(1, 2)
-    d = unit_direction(3, rng)
-    assert d.shape == (3,)
-    D = unit_direction(5, rng, size=400)
+    assert _directions(3, 1, 1).shape == (1, 3)
+    D = _directions(5, 2, 400)
     assert D.shape == (400, 5)
     assert np.allclose(np.linalg.norm(D, axis=1), 1.0, atol=1e-12)
-
-
-def test_unit_direction_one_dimensional_signs():
-    d = unit_direction(1, RngStream(0, 0), size=2000)
-    assert set(np.unique(d)) == {-1.0, 1.0}
-    assert abs(d.mean()) < 0.08
 
 
 def test_unit_direction_coordinate_moments_high_dim():
     # uniform on S^(n-1): E[x_i] = 0, E[x_i^2] = 1/n
     n, N = 10, 20_000
-    D = unit_direction(n, RngStream(5, 0), size=N)
+    D = _directions(n, 5, N)
     assert np.all(np.abs(D.mean(axis=0)) < 4.0 / np.sqrt(n * N))
     assert np.all(np.abs((D**2).mean(axis=0) - 1.0 / n) < 0.002)
 
 
 def test_unit_direction_planar_angles_uniform():
     # chi-square over 8 octants, 1% critical value for 7 dof is 18.48
-    D = unit_direction(2, RngStream(23, 0), size=16_000)
+    D = _directions(2, 23, 16_000)
     angles = np.arctan2(D[:, 1], D[:, 0])
     counts, _ = np.histogram(angles, bins=8, range=(-np.pi, np.pi))
     expected = 16_000 / 8
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < 18.48
-
-
-def test_unit_direction_validation():
-    with pytest.raises(ValueError):
-        unit_direction(0, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,7 @@ def test_exit_radius_cdf_round_trip():
 
 
 def test_exit_radius_exceeds_ball_and_scales():
-    rng = RngStream(3, 1)
-    g = sample_exit_radius(0.7, 1.2, rng, size=5000)
+    g = exit_radius_from_uniform(0.7, 1.2, _stream(3, 1)(5000))
     assert np.all(g > 0.7)
     # pure scale family: the transform at radius r is r times radius 1
     u = np.linspace(0.01, 0.99, 11)
@@ -288,7 +286,7 @@ def test_exit_radius_exceeds_ball_and_scales():
 def test_exit_radius_median_alpha_one():
     # alpha = 1: F(r sqrt(2)) = 1 - (2/pi) arcsin(1/sqrt(2)) = 1/2
     assert abs(kernels.exit_radius_cdf(np.sqrt(2.0), 1.0, 1.0) - 0.5) < 1e-12
-    g = sample_exit_radius(1.0, 1.0, RngStream(11, 0), size=40_000)
+    g = exit_radius_from_uniform(1.0, 1.0, _stream(11, 0)(40_000))
     assert abs(np.median(g) - np.sqrt(2.0)) < 0.005 * np.sqrt(2.0)
 
 
@@ -303,7 +301,7 @@ def test_exit_radius_small_alpha_underflow_clamp():
 def test_exit_radius_ks_moderate():
     for alpha in (0.4, 1.0, 1.6):
         N = 20_000
-        g = sample_exit_radius(1.0, alpha, RngStream(29, int(alpha * 10)), size=N)
+        g = exit_radius_from_uniform(1.0, alpha, _stream(29, int(alpha * 10))(N))
         u = np.sort(kernels.exit_radius_cdf(g, 1.0, alpha))
         k = np.arange(1, N + 1)
         d = max(np.max(k / N - u), np.max(u - (k - 1) / N))
@@ -311,20 +309,20 @@ def test_exit_radius_ks_moderate():
 
 
 def test_sample_exit_point_radial_law():
-    ball = kernels.BallGeom(np.array([1.0, -2.0]), 0.5)
-    rng = RngStream(7, 0)
-    pts = np.array([sample_exit_point(ball, 1.1, rng) for _ in range(2000)])
+    # one jump from the center as the walk makes it: exit direction from the
+    # first words of a path's draw, exit radius from the first word of the
+    # next block
+    ball = BallDomain(np.array([1.0, -2.0]), 0.5)
+    idx = np.arange(2000)
+    u = StreamBatch(7, idx).uniforms(idx, 8)
+    gamma = exit_radius_from_uniform(ball.radius, 1.1, u[:, 4])
+    pts = ball.center + gamma[:, None] * _unit_rows(box_muller(u, 2))
     r = np.linalg.norm(pts - ball.center, axis=1)
     assert np.all(r > 0.5)
     u = np.sort(kernels.exit_radius_cdf(r, 0.5, 1.1))
     k = np.arange(1, 2001)
     d = max(np.max(k / 2000 - u), np.max(u - (k - 1) / 2000))
     assert d < _KS_1PCT / np.sqrt(2000)
-
-
-def test_sample_exit_radius_validation():
-    with pytest.raises(ValueError):
-        sample_exit_radius(0.0, 1.0, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,8 @@ def test_interior_accept_prob_is_a_probability_envelope():
 def test_interior_radius_ks_moderate():
     for n, alpha in [(2, 0.4), (3, 1.0), (10, 1.6)]:
         N = 20_000
-        s = sample_interior_radius(n, alpha, RngStream(31, n * 100), size=N)
+        idx = np.arange(N)
+        s = _batch_interior_radii(StreamBatch(31, idx, n * 100), idx, n, alpha)
         assert np.all((s > 0.0) & (s < 1.0))
         u = np.sort(_interior_cdf(np.sort(s), n, alpha))
         k = np.arange(1, N + 1)
@@ -366,20 +365,16 @@ def test_interior_radius_ks_moderate():
         assert d < _KS_1PCT / np.sqrt(N), (n, alpha)
 
 
-def test_interior_radius_validation():
-    with pytest.raises(ValueError):
-        sample_interior_radius(1, 1.2, RngStream(0, 0))  # alpha >= n
-    with pytest.raises(ValueError):
-        sample_interior_radius(2, 2.1, RngStream(0, 0))
-
-
 def test_sample_interior_point_stays_inside():
-    ball = kernels.BallGeom(np.array([0.5, 0.5, 0.0]), 2.0)
-    rng = RngStream(13, 0)
-    pts = np.array([sample_interior_point(ball, 3, 0.9, rng) for _ in range(500)])
-    assert np.all(np.linalg.norm(pts - ball.center, axis=1) < 2.0)
-    with pytest.raises(ValueError):
-        sample_interior_point(ball, 2, 0.9, rng)
+    # the source point of one step as the walk places it:
+    # center + (radius * s) * direction
+    ball = BallDomain(np.array([0.5, 0.5, 0.0]), 2.0)
+    idx = np.arange(500)
+    batch = StreamBatch(13, idx)
+    s = _batch_interior_radii(batch, idx, 3, 0.9)
+    ydir = _unit_rows(box_muller(batch.uniforms(idx, 4), 3))
+    pts = ball.center + (ball.radius * s)[:, None] * ydir
+    assert np.all(ball.contains(pts))
 
 
 # ---------------------------------------------------------------------------
