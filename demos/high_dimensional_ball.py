@@ -36,11 +36,11 @@ def main():
               f"{exact:12.6f} {est.mean_steps:7.3f}")
 
     print("\nanalytic sanity: zeta_unit * constant_source == 1 in any dimension")
-    from fracwos.oracle import _constant_source
+    from fracwos.oracle import constant_source
 
     for n in (2, 5, 10):
         kk = make_constants(n, ALPHA)
-        print(f"  n = {n:2d}: {kk.zeta_unit * _constant_source(n, ALPHA):.15f}")
+        print(f"  n = {n:2d}: {kk.zeta_unit * constant_source(n, ALPHA):.15f}")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ import scipy.special as sc
 
 from . import sampling
 from .geometry import Domain
-from .kernels import ALPHA_MAX, ALPHA_MIN, KernelConstants
+from .kernels import KernelConstants, _check_alpha
 
 __all__ = [
     "ProblemSpec",
@@ -49,6 +49,7 @@ __all__ = [
     "PathRealization",
     "Estimate",
     "StepCapExceeded",
+    "check_starts",
     "run_path",
     "estimate_point",
     "estimate_field",
@@ -84,8 +85,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n != self.domain.n:
             raise ValueError("problem dimension disagrees with the domain")
-        if not ALPHA_MIN <= self.alpha <= ALPHA_MAX:
-            raise ValueError(f"alpha must lie in [{ALPHA_MIN}, {ALPHA_MAX}]")
+        _check_alpha(self.alpha)
         if self.g is None:
             raise ValueError("exterior data g is required (use lambda x: 0.0)")
 
@@ -277,14 +277,31 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
     return score, steps, exit_pt, shell, dropped
 
 
+def check_starts(problem, config, points) -> np.ndarray:
+    """Check an (m, n) batch of start points before any walk.
+
+    Raises ValueError naming the first point that lies outside the domain
+    or inside the epsilon-shell; returns the points as a float array."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != problem.n:
+        raise ValueError(f"start points must have shape (m, {problem.n}), "
+                         f"got {pts.shape}")
+    inside = problem.domain.contains(pts)
+    shell = np.zeros(pts.shape[0], dtype=bool)
+    shell[inside] = problem.domain.dist_boundary(pts[inside]) < config.epsilon
+    bad = ~inside | shell
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        where = "inside the epsilon-shell" if inside[i] else "outside the domain"
+        raise ValueError(f"point {i} {pts[i].tolist()} lies {where}")
+    return pts
+
+
 def _validate_start(problem, config, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,):
         raise ValueError(f"start point must have shape ({problem.n},)")
-    if not problem.domain.contains(x0):
-        raise ValueError("start point lies outside the domain")
-    if problem.domain.dist_boundary(x0) < config.epsilon:
-        raise ValueError("start point lies inside the epsilon-shell")
+    check_starts(problem, config, x0[None, :])
     return x0
 
 
@@ -385,7 +402,7 @@ def estimate_field(
     evaluation order and duplicated points reproduce identical estimates.
     All points are validated up front."""
     _check_consistency(problem, constants)
-    pts = [_validate_start(problem, config, p) for p in points]
+    pts = check_starts(problem, config, points)
     if threads and threads > 1 and len(pts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(

@@ -39,7 +39,8 @@ from .geometry import (
 from .kernels import make_constants
 from .specfun import hyp1f1, hyp2f1
 
-__all__ = ["ExactCase", "ball_solution_quadrature", "exact_registry", "make_case"]
+__all__ = ["CASE_NAMES", "ExactCase", "ball_solution_quadrature", "constant_source",
+           "exact_registry", "make_case"]
 
 _QUAD_TOL = 1e-8
 # doubling ladder caps; the 3D tensor grows with the cube of the level
@@ -253,7 +254,9 @@ def _bump_power(alpha: float):
     return u
 
 
-def _constant_source(n: int, alpha: float) -> float:
+def constant_source(n: int, alpha: float) -> float:
+    """The constant f whose solution on the unit ball with g = 0 is
+    (1 - |x|^2)^(alpha/2); the reciprocal of KernelConstants.zeta_unit."""
     return (
         2.0**alpha
         * math.gamma(1.0 + alpha / 2.0)
@@ -267,7 +270,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
     if name == "disk_constant_source":
         # radially symmetric bump solution on the unit disk; the source is
         # the constant 2^alpha * Gamma(1 + alpha/2)^2 and g vanishes
-        c = _constant_source(2, alpha)
+        c = constant_source(2, alpha)
         return ExactCase(
             name, 2, alpha, BallDomain(np.zeros(2), 1.0),
             lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c),
@@ -288,7 +291,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
     if name == "ball10_constant_source":
         # ten-dimensional unit ball with constant source; registered with
         # the |x|^2 bump, the solution the cited constant source belongs to
-        c = _constant_source(10, alpha)
+        c = constant_source(10, alpha)
         return ExactCase(
             name, 10, alpha, BallDomain(np.zeros(10), 1.0),
             lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c),
@@ -349,7 +352,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
     raise KeyError(f"unknown case name: {name}")
 
 
-_CASE_NAMES = (
+CASE_NAMES = (
     "disk_constant_source",
     "disk_inverse_cubic",
     "ball10_constant_source",
@@ -362,4 +365,4 @@ _CASE_NAMES = (
 
 def exact_registry(alpha: float = 1.0) -> list[ExactCase]:
     """All benchmark cases, instantiated at the given exponent."""
-    return [make_case(name, alpha) for name in _CASE_NAMES]
+    return [make_case(name, alpha) for name in CASE_NAMES]

@@ -42,8 +42,8 @@ from fracwos.kernels import (
     make_constants,
 )
 from fracwos.oracle import (
-    _constant_source,
     ball_solution_quadrature,
+    constant_source,
     make_case,
 )
 from fracwos.specfun import (
@@ -139,7 +139,7 @@ def test_criterion_03_ten_dimensional_center():
     for n in range(2, 11):
         for alpha in (0.8, 1.6):
             k = make_constants(n, alpha)
-            assert abs(k.zeta_unit * _constant_source(n, alpha) - 1.0) <= 1e-9
+            assert abs(k.zeta_unit * constant_source(n, alpha) - 1.0) <= 1e-9
             assert abs(k.zeta_unit / zeta_unit_quadrature(n, alpha) - 1.0) <= 1e-9
 
 
@@ -284,7 +284,7 @@ def test_criterion_09_shell_bias_rate():
     epsilon itself, so the rate window is centered by taking alpha = 1.1."""
     alpha = 1.1
     center = np.array([0.55, 0.0])
-    case_f = _const_field(_constant_source(2, alpha))
+    case_f = _const_field(constant_source(2, alpha))
     prob = ProblemSpec(2, alpha, case_f, _zero_field, BallDomain(center, 1.0))
     k = make_constants(2, alpha)
     u0 = (1.0 - 0.55**2) ** (alpha / 2.0)

@@ -62,9 +62,9 @@ def test_constants_prints_analytic_values(capsys):
 
 
 def test_constants_rejects_bad_parameters(capsys):
-    assert cli.main(["constants", "--n", "2", "--alpha", "2.5"]) == 2
-    assert cli.main(["constants", "--n", "1", "--alpha", "1.0"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for extra in (["--alpha", "2.5"], ["--n", "1"], ["--epsilon", "2"], ["--radius", "-1"]):
+        assert cli.main(["constants", "--n", "2", "--alpha", "1.0"] + extra) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_constants_takes_the_kernel_alpha_range(capsys):
@@ -253,6 +253,23 @@ def test_steps_table_sorted_and_monotone(tmp_path):
         assert min(means) >= 1.0
     summary = json.loads((tmp_path / "steps_summary.json").read_text())
     assert summary["monotone_in_abs_x"] is True
+
+
+def test_steps_reports_a_non_monotone_table(tmp_path):
+    # the config above with walk seed 1: Monte Carlo noise breaks the order,
+    # which the summary reports instead of failing the run
+    cfg = _cfg(
+        tmp_path,
+        case="disk_constant_source",
+        alphas=[0.6, 1.4],
+        points={"type": "random", "count": 6, "seed": 3},
+        walk={"num_paths": 400, "seed": 1},
+        output=str(tmp_path / "steps"),
+    )
+    assert cli.main(["steps", "--config", cfg]) == 0
+    assert len(_read_rows(tmp_path / "steps_steps.csv")[1]) == 12
+    summary = json.loads((tmp_path / "steps_summary.json").read_text())
+    assert summary["monotone_in_abs_x"] is False
 
 
 def test_steps_measures_abs_x_from_the_ball_centre(tmp_path):
@@ -470,3 +487,25 @@ def test_start_points_are_checked_before_any_walk(tmp_path, capsys):
         assert "point 1 [0.9999999, 0.0] lies inside the epsilon-shell" in err
     assert not (tmp_path / "steps_steps.csv").exists()
     assert not (tmp_path / "conv_error_vs_N.csv").exists()
+
+
+def _with_domain(domain):
+    return {**_inline_ball(1.0), "domain": domain}
+
+
+@pytest.mark.parametrize("over", [
+    {"case": _with_domain({"type": "ball", "center": [0.0, 0.0], "radius": -1.0})},
+    {"case": _with_domain({"type": "ball", "center": [[0.0, 0.0]], "radius": 1.0})},
+    {"case": _with_domain({"type": "annulus", "inner": 1.0, "outer": 0.5})},
+    {"case": _with_domain({"type": "box", "lo": [1.0, 0.0], "hi": [0.0, 1.0]})},
+    {"case": _with_domain({"type": "hexagon", "circumradius": 0.0})},
+    {"case": {**_inline_ball(1.0), "n": "two"}},
+    {"points": {"type": "random", "count": 2, "seed": -1}},
+], ids=["ball_radius", "ball_center", "annulus", "box", "hexagon", "n_string",
+        "points_seed"])
+def test_library_rejections_are_config_errors(tmp_path, capsys, over):
+    # each value is refused by the library's own check while the run is built
+    cfg = _solve_cfg(tmp_path, **over)
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_estimates.csv").exists()

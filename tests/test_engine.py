@@ -391,6 +391,11 @@ def test_start_point_validation():
         estimate_point(prob, cfg, make_constants(3, 1.0), np.zeros(2))
     with pytest.raises(ValueError, match="different"):
         estimate_point(prob, cfg, make_constants(2, 1.1), np.zeros(2))
+    # a batch is checked whole, before any walk, naming the first bad point
+    with pytest.raises(ValueError, match=r"point 2 \[2.0, 0.0\] lies outside the domain"):
+        estimate_field(prob, cfg, k, [[0.0, 0.0], [0.5, 0.0], [2.0, 0.0], [0.995, 0.0]])
+    with pytest.raises(ValueError, match=r"point 1 \[0.995, 0.0\] lies inside the epsilon"):
+        estimate_field(prob, cfg, k, [[0.0, 0.0], [0.995, 0.0]])
 
 
 def test_field_errors_propagate_from_one_batch_call():

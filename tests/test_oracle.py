@@ -17,9 +17,9 @@ from fracwos.geometry import BallDomain, LShapeDomain
 from fracwos.kernels import make_constants
 from fracwos.oracle import (
     ExactCase,
-    _constant_source,
     _signed_power,
     ball_solution_quadrature,
+    constant_source,
     exact_registry,
     make_case,
 )
@@ -113,7 +113,7 @@ def test_lshape_gaussian_values():
 
 def test_constant_source_helper():
     # n = 2, alpha = 1: 2 * Gamma(1.5)^2 = pi / 2
-    assert _constant_source(2, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert constant_source(2, 1.0) == pytest.approx(math.pi / 2.0, rel=1e-15)
     n, alpha = 10, 1.6
     expect = (
         2.0**alpha
@@ -121,7 +121,7 @@ def test_constant_source_helper():
         * math.gamma((n + alpha) / 2.0)
         / math.gamma(n / 2.0)
     )
-    assert _constant_source(n, alpha) == expect
+    assert constant_source(n, alpha) == expect
 
 
 def test_signed_power_of_negative_base():
