@@ -73,6 +73,14 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _as_int(value, key):
+    """int(value), or a ValueError that names the config key."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _require_keys(d, where, required, optional=()):
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be an object")
@@ -143,7 +151,7 @@ def _parse_case(spec):
     if isinstance(spec, dict):
         _require_keys(spec, "case", ["domain", "n", "alpha", "g"], ["f"])
         return {"kind": "inline", "domain": _build_domain(spec["domain"]),
-                "n": int(spec["n"]), "alpha": float(spec["alpha"]),
+                "n": _as_int(spec["n"], "case.n"), "alpha": float(spec["alpha"]),
                 "f": spec.get("f", "none"), "g": spec["g"]}
     raise ValueError("case must be a name or an object")
 
@@ -153,7 +161,10 @@ def _case_at(parsed, alpha=None):
     check the dimension, the alpha range and g."""
     a = float(parsed["alpha"] if alpha is None else alpha)
     if parsed["kind"] == "named":
-        case = make_case(parsed["name"], a)
+        try:
+            case = make_case(parsed["name"], a)
+        except KeyError as exc:  # an unknown name; str() of a KeyError is quoted
+            raise ValueError(exc.args[0]) from None
     else:
         n = parsed["n"]
         f, g = _builtin_field(parsed["f"], n, a), _builtin_field(parsed["g"], n, a)
@@ -174,14 +185,18 @@ def _points(spec, domain, epsilon: float) -> np.ndarray:
             raise ValueError("points.values must be a nonempty list")
         return np.asarray(spec["values"], dtype=float)
     if kind == "random":
-        count = int(spec.get("count", 0))
+        count = _as_int(spec.get("count", 0), "points.count")
         if count < 1:
             raise ValueError("random points need count >= 1")
+        seed = _as_int(spec.get("seed", 0), "points.seed")
         # keep a shell margin so every point is a valid walk start
-        return domain.random_interior(count, int(spec.get("seed", 0)), margin=epsilon)
+        try:
+            return domain.random_interior(count, seed, margin=epsilon)
+        except ValueError as exc:  # numpy's check of the seed
+            raise ValueError(f"points.seed: {exc}") from None
     if kind != "grid":
         raise ValueError(f"unknown points type: {kind!r}")
-    res = int(spec.get("resolution", 0))
+    res = _as_int(spec.get("resolution", 0), "points.resolution")
     if res < 2:
         raise ValueError("grid resolution must be at least 2")
     if res**domain.n > 250_000:

@@ -23,6 +23,11 @@ step in a fixed order:
 Draws 2-4 come from one Philox call per step.  Rejection rounds may draw
 blocks ahead of the accepted proposal, but a path's counter only advances
 past the blocks it consumed, so the next draw starts right after them.
+Each proposal is accepted or rejected from the squeeze bounds of its cell
+of the proposal uniform, and against the exact acceptance probability
+(a betainc) only when it falls between them; the bounds are padded so that
+both routes decide alike, so the draw order and the counter positions are
+those of the exact test.
 A path therefore replays bit-identically whether it runs alone (run_path),
 inside any chunk of estimate_point, or under any thread count.
 Aggregation sums full score arrays in path-index order, which keeps the
@@ -31,6 +36,7 @@ reduction independent of scheduling as well.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +65,10 @@ __all__ = [
 
 _CHUNK_PATHS = 65536
 _REJECTION_CAP = 500_000  # blocks per interior radius, two proposals each
+# Interior rejection squeeze: cells of the proposal uniform (a power of two)
+# and the relative padding of their acceptance bounds.
+_SQUEEZE_CELLS = 1024
+_SQUEEZE_PAD = 1e-9
 
 
 class StepCapExceeded(RuntimeError):
@@ -87,7 +97,7 @@ class ProblemSpec:
             raise ValueError("problem dimension disagrees with the domain")
         _check_alpha(self.alpha)
         if self.g is None:
-            raise ValueError("exterior data g is required (use lambda x: 0.0)")
+            raise ValueError("exterior data g is required (a field of zeros for g = 0)")
 
 
 @dataclass(frozen=True)
@@ -124,8 +134,9 @@ class Estimate:
 
     variance is the unbiased sample variance (N-1 denominator; 0.0 when a
     single path survives), stderr = sqrt(variance / n_paths).  n_dropped
-    counts paths discarded at the step cap; they are excluded from all
-    moments.
+    counts paths discarded at the step cap and n_nonfinite paths whose
+    score is not finite (an overflow of f or g); both are excluded from all
+    moments, mean_steps included.
     """
 
     mean: float
@@ -134,6 +145,7 @@ class Estimate:
     n_paths: int
     mean_steps: float
     n_dropped: int = 0
+    n_nonfinite: int = 0
 
 
 class _FieldEval:
@@ -156,13 +168,37 @@ def _check_consistency(problem: ProblemSpec, constants: KernelConstants):
         raise ValueError("constants were built for a different (n, alpha)")
 
 
+@functools.lru_cache(maxsize=64)
+def _interior_squeeze(n: int, alpha: float):
+    """Padded squeeze bounds (lo, hi) on the interior acceptance probability.
+
+    Cell j of the proposal uniform u holds j/K <= u < (j+1)/K, so s = u^(1/alpha)
+    lies between the cell's edge radii and, p being decreasing, p(s) between
+    the acceptance probabilities at those edges: lo[j] <= p(s) <= hi[j] once
+    both are padded by a relative _SQUEEZE_PAD against rounding in pow and
+    betainc.  K is a power of two, so u * K is exact."""
+    edges = np.arange(_SQUEEZE_CELLS + 1) / _SQUEEZE_CELLS
+    t = sampling.interior_accept_prob(edges ** (1.0 / alpha), n, alpha)
+    lo = t[1:] * (1.0 - _SQUEEZE_PAD)
+    hi = t[:-1] * (1.0 + _SQUEEZE_PAD)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
+
+
 def _batch_interior_radii(batch: sampling.StreamBatch, idx, n: int, alpha: float):
     """Per-path rejection sampling of the interior radial coordinate.
 
     A counter block holds two proposal/acceptance pairs, tested in order;
     the first accepted proposal wins.  Round k draws 2^k blocks at once for
     each pending path, and each path's counter is then set to the blocks up
-    to its accepted proposal, so blocks drawn past it are never consumed."""
+    to its accepted proposal, so blocks drawn past it are never consumed.
+
+    Every proposal of a round is decided at once by the squeeze bounds of
+    its cell (_interior_squeeze): accepted below lo, rejected above hi, and
+    tested against the exact acceptance probability only in between, which
+    happens to 1/K of the proposals.  The decisions, and so the draws, are
+    those of the exact test."""
+    lo, hi = _interior_squeeze(n, alpha)
     out = np.empty(idx.shape[0])
     pending = np.arange(idx.shape[0])
     inv_alpha = 1.0 / alpha
@@ -175,19 +211,23 @@ def _batch_interior_radii(batch: sampling.StreamBatch, idx, n: int, alpha: float
         rows = idx[pending]
         start = batch.position[rows]
         u = batch.uniforms(rows, 4 * nblocks)
-        used = np.full(pending.size, nblocks, dtype=np.uint64)
-        left = np.arange(pending.size)  # rows of u without an accepted proposal
-        for q in range(2 * nblocks):
-            s = u[left, 2 * q] ** inv_alpha
-            ok = u[left, 2 * q + 1] <= sampling.interior_accept_prob(s, n, alpha)
-            hit = left[ok]
-            out[pending[hit]] = s[ok]
-            used[hit] = q // 2 + 1
-            left = left[~ok]
-            if left.size == 0:
-                break
-        batch.position[rows] = start + used
-        pending = pending[left]
+        prop, test = u[:, 0::2], u[:, 1::2]  # proposal q of each row in column q
+        cell = (prop * _SQUEEZE_CELLS).astype(np.intp)
+        ok = test <= lo[cell]
+        band = test <= hi[cell]
+        band ^= ok  # between the bounds: lo < test <= hi
+        if band.any():
+            s = prop[band] ** inv_alpha
+            ok[band] = test[band] <= sampling.interior_accept_prob(s, n, alpha)
+        first = ok.argmax(axis=1)
+        accepted = ok[np.arange(first.size), first]
+        hit = np.flatnonzero(accepted)
+        q = first[hit]
+        out[pending[hit]] = prop[hit, q] ** inv_alpha
+        # uniforms() advanced every row by nblocks; a row that accepted
+        # proposal q consumed only the blocks up to it
+        batch.position[rows[hit]] = start[hit] + (q // 2 + 1).astype(np.uint64)
+        pending = pending[~accepted]
         drawn += nblocks
         nblocks *= 2
     return out
@@ -361,17 +401,28 @@ def estimate_point(
         for a, b in spans:
             work(a, b)
 
-    keep = ~dropped
+    nonfinite = ~dropped & ~np.isfinite(scores)
+    keep = ~dropped & ~nonfinite
     n_kept = int(keep.sum())
-    n_drop = N - n_kept
+    n_drop = int(dropped.sum())
+    n_bad = int(nonfinite.sum())
     if n_drop:
         warnings.warn(
             f"{n_drop} of {N} paths hit max_steps={config.max_steps} and were dropped",
             RuntimeWarning,
             stacklevel=2,
         )
+    if n_bad:
+        warnings.warn(
+            f"{n_bad} of {N} paths scored a non-finite value and were excluded",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if n_kept == 0:
-        raise RuntimeError("every path hit the step cap; no estimate available")
+        raise RuntimeError(
+            f"no estimate available: {n_drop} paths hit the step cap and "
+            f"{n_bad} scored a non-finite value"
+        )
 
     kept_scores = scores[keep]
     mean = float(np.sum(kept_scores) / n_kept)
@@ -386,6 +437,7 @@ def estimate_point(
         n_paths=n_kept,
         mean_steps=float(steps[keep].mean()),
         n_dropped=n_drop,
+        n_nonfinite=n_bad,
     )
 
 

@@ -25,7 +25,11 @@ duplicate points bit-identical.
   sampled by rejection from the proposal alpha * s^(alpha-1) (s = U^(1/alpha))
   with acceptance w(s)/w(0+) = I_{1-s^2}(alpha/2, (n-alpha)/2), a provable
   envelope because w is decreasing.  The rejection loop itself is
-  engine._batch_interior_radii.
+  engine._batch_interior_radii.  It settles almost every proposal from a
+  squeeze table of this function at the edges of K = 1024 equiprobable
+  cells of the proposal uniform (Devroye 1986, ch. II; Marsaglia 1977) and
+  calls it only for the 1/K of proposals the table cannot settle; every
+  decision is the one the exact test makes.
 """
 
 from __future__ import annotations

@@ -509,3 +509,28 @@ def test_library_rejections_are_config_errors(tmp_path, capsys, over):
     assert cli.main(["solve", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run_estimates.csv").exists()
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"case": "nope"}, "config error: unknown case name: nope\n"),
+    ({"case": {**_inline_ball(1.0), "n": "two"}},
+     "config error: case.n must be an integer, got 'two'\n"),
+    ({"points": {"type": "random", "count": "many"}},
+     "config error: points.count must be an integer, got 'many'\n"),
+    ({"points": {"type": "random", "count": 2, "seed": [1]}},
+     "config error: points.seed must be an integer, got [1]\n"),
+    ({"points": {"type": "grid", "resolution": "fine"}},
+     "config error: points.resolution must be an integer, got 'fine'\n"),
+    ({"case": {**_inline_ball(1.0), "g": "none"}},
+     "config error: exterior data g is required (a field of zeros for g = 0)\n"),
+], ids=["case_name", "n", "count", "seed", "resolution", "g_none"])
+def test_config_error_messages(tmp_path, capsys, over, message):
+    cfg = _solve_cfg(tmp_path, **over)
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_negative_points_seed_names_the_key(tmp_path, capsys):
+    cfg = _solve_cfg(tmp_path, points={"type": "random", "count": 2, "seed": -1})
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: points.seed: ")

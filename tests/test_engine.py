@@ -9,18 +9,23 @@ with zero Monte Carlo noise.
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracwos import sampling
 from fracwos.engine import (
     Estimate,
     ProblemSpec,
     StepCapExceeded,
     WalkConfig,
     _FieldEval,
+    _walk_chunk,
     error_metric,
     estimate_field,
     estimate_point,
@@ -144,6 +149,12 @@ _GOLDEN_CASES = {
     "disk_nof_a1.5": (BallDomain(np.zeros(2), 1.0), 2, 1.5, False, [0.6, 0.1], 256, None),
     "lshape_a1.0": (LShapeDomain(), 2, 1.0, True, [-0.4, 0.5], 256, None),
     "ball10_a1.2": (BallDomain(np.zeros(10), 1.0), 10, 1.2, True, [0.3] + [0.0] * 9, 300, 128),
+    # the ends of the alpha range and higher n, where the interior rejection
+    # test meets the extremes of its acceptance curve
+    "disk_a0.05": (BallDomain(np.zeros(2), 1.0), 2, 0.05, True, [0.3, -0.2], 256, None),
+    "disk_a1.95": (BallDomain(np.zeros(2), 1.0), 2, 1.95, True, [0.3, -0.2], 256, None),
+    "ball3_a1.9": (BallDomain(np.zeros(3), 1.0), 3, 1.9, True, [0.3, -0.2, 0.1], 256, None),
+    "ball10_a1.9": (BallDomain(np.zeros(10), 1.0), 10, 1.9, True, [0.3] + [0.0] * 9, 300, 128),
 }
 
 # float.hex of (mean, variance, mean_steps) of estimate_point, then
@@ -156,13 +167,19 @@ _GOLDEN = {
     "disk_a1.9": ("0x1.85cf5c91c243ep-1", "0x1.a9b4f8aa9dc51p-6", "0x1.4ae0000000000p+3", "0x1.023619fd17eb2p+0", 11),
     "disk_nof_a1.5": ("0x1.b5239b431a28ep-2", "0x1.ac1cb967b1079p-7", "0x1.3740000000000p+2", "0x1.fc9b44ed94e3bp-2", 6),
     "lshape_a1.0": ("0x1.37ebbb1783e80p-1", "0x1.b725c6cb40129p-4", "0x1.5080000000000p+1", "0x1.bd5bbcec28625p-1", 5),
+    # recorded before interior rejection was settled from a squeeze table
+    "disk_a0.05": ("0x1.4aa443f079ae8p+0", "0x1.71cbff9cc2026p-5", "0x1.0a00000000000p+0", "0x1.3e45344346f02p+0", 1),
+    "disk_a1.95": ("0x1.7ac23f7214bdcp-1", "0x1.5ef4f3d6b75f9p-6", "0x1.6d60000000000p+3", "0x1.aae55d2a4856ap-1", 20),
+    "ball3_a1.9": ("0x1.5acd6a122821dp-1", "0x1.9db9fb9c7ad33p-7", "0x1.26f0000000000p+4", "0x1.83e7089e0cb2cp-1", 14),
+    "ball10_a1.9": ("0x1.18a089316fdf9p-1", "0x1.35c94ba7d8bb4p-8", "0x1.1e62fc962fc96p+6", "0x1.46c5fbaced58fp-1", 150),
 }
 
 
-# zeta_unit as make_constants gave it when the golden values were recorded
-# (a Gauss-Jacobi quadrature ladder); the closed form now used differs by up
-# to 1.8e-10 relative.  The golden test pins the random stream, so the
-# source cases run with the recorded constant.
+# zeta_unit as make_constants gave it when the first six golden values were
+# recorded (a Gauss-Jacobi quadrature ladder); the closed form now used
+# differs by up to 1.8e-10 relative.  The golden test pins the random stream,
+# so those source cases run with the recorded constant; the cases recorded
+# later use make_constants as it is.
 _GOLDEN_ZETA = {
     (2, 0.3): "0x1.ddb46b42971dbp-1",
     (2, 1.0): "0x1.45f306dc96ca1p-1",
@@ -183,7 +200,7 @@ def test_golden_stream(name):
     )
     cfg = WalkConfig(epsilon=1e-4, num_paths=num_paths, seed=2024)
     k = make_constants(n, alpha)
-    if with_f:
+    if (n, alpha) in _GOLDEN_ZETA:
         k = dataclasses.replace(k, zeta_unit=float.fromhex(_GOLDEN_ZETA[(n, alpha)]))
     x0 = np.array(x0, dtype=float)
     est = estimate_point(prob, cfg, k, x0, chunk_paths=chunk or num_paths)
@@ -196,6 +213,37 @@ def test_golden_stream(name):
         path.steps,
     )
     assert got == _GOLDEN[name]
+
+
+# the replay contract on the disk at alpha = 1.9 with a source, where most
+# proposals of the interior rejection are drawn ahead and settled by the
+# squeeze table
+_REPLAY_N = 40
+_REPLAY_PROB = ProblemSpec(n=2, alpha=1.9, f=_poly_source, g=_bounded_exterior,
+                           domain=BallDomain(np.zeros(2), 1.0))
+_REPLAY_CFG = WalkConfig(epsilon=1e-4, num_paths=_REPLAY_N, seed=77)
+_REPLAY_X0 = np.array([0.3, -0.2])
+_REPLAY_K = make_constants(2, 1.9)
+
+
+@functools.cache
+def _replay_base():
+    return estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(chunk=st.integers(1, _REPLAY_N), i=st.integers(0, _REPLAY_N - 1))
+def test_replay_under_any_chunking(chunk, i):
+    est = estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, chunk_paths=chunk)
+    assert est == _replay_base()
+    # path i alone equals path i inside its chunk
+    a = i - i % chunk
+    ids = np.arange(a, min(a + chunk, _REPLAY_N), dtype=np.uint64)
+    sub = sampling.point_substream(_REPLAY_X0)
+    scores, steps = _walk_chunk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, ids, _REPLAY_X0, sub)[:2]
+    path = run_path(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, i)
+    assert path.score == scores[i - a]
+    assert path.steps == steps[i - a]
 
 
 def test_duplicate_points_reproduce_identical_estimates():
@@ -286,6 +334,44 @@ def test_all_paths_capped_is_an_error():
         warnings.simplefilter("ignore")
         with pytest.raises(RuntimeError, match="step cap"):
             estimate_point(prob, cfg, k, x0)
+
+
+def test_nonfinite_scores_are_counted_and_excluded():
+    # from the centre every path exits in one step; g is infinite on the
+    # right half-plane, so those scores are excluded and the rest are 1
+    def g(pts):
+        return np.where(pts[:, 0] > 0.0, np.inf, 1.0)
+
+    prob = _ball_problem(2, 1.2, g=g)
+    cfg = WalkConfig(epsilon=1e-6, num_paths=200, seed=5)
+    k = make_constants(2, 1.2)
+    with pytest.warns(RuntimeWarning, match="non-finite"):
+        est = estimate_point(prob, cfg, k, np.zeros(2))
+    right = sum(run_path(prob, cfg, k, np.zeros(2), i).exit_point[0] > 0.0
+                for i in range(200))
+    assert 0 < right < 200
+    assert est.n_nonfinite == right
+    assert est.n_paths == 200 - right
+    assert (est.mean, est.variance, est.mean_steps) == (1.0, 0.0, 1.0)
+    assert est.n_dropped == 0
+
+    prob = _ball_problem(2, 1.2, g=lambda pts: np.full(pts.shape[0], np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="200 scored a non-finite value"):
+            estimate_point(prob, cfg, k, np.zeros(2))
+
+
+def test_overflowing_exterior_data_leaves_a_finite_mean():
+    # g = |x|^24 overflows far out, where the heavy-tailed jump can land
+    prob = _ball_problem(2, 0.3, g=lambda pts: np.sum(pts * pts, axis=1) ** 12)
+    cfg = WalkConfig(epsilon=1e-6, num_paths=20000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's overflow warnings
+        est = estimate_point(prob, cfg, make_constants(2, 0.3), np.array([0.2, 0.1]))
+    assert est.n_nonfinite > 0
+    assert np.isfinite(est.mean)
+    assert est.n_paths + est.n_nonfinite == 20000
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +517,4 @@ def test_field_wrong_shape_is_an_error():
 def test_estimate_is_a_plain_record():
     est = Estimate(mean=1.0, variance=0.0, stderr=0.0, n_paths=3, mean_steps=1.0)
     assert est.n_dropped == 0
+    assert est.n_nonfinite == 0

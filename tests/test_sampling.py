@@ -13,7 +13,7 @@ from numpy.random import Philox
 from zeta_reference import gauss_jacobi_rule
 
 from fracwos import kernels
-from fracwos.engine import _batch_interior_radii, _unit_rows
+from fracwos.engine import _batch_interior_radii, _interior_squeeze, _unit_rows
 from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
@@ -133,9 +133,13 @@ def _one_block_rounds(batch, idx, n, alpha):
     return out
 
 
-@pytest.mark.parametrize("n, alpha", [(2, 1.9), (3, 0.7)])
-def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha):
-    rows, idx = 400, np.arange(0, 400, 2)
+# at alpha = 0.05 nearly every first proposal is accepted, so no row of
+# this size reaches a second round there
+@pytest.mark.parametrize("n, alpha, second_round", [
+    (2, 1.9, True), (3, 0.7, True), (2, 0.05, False), (2, 1.95, True), (10, 1.2, True),
+], ids=["2-1.9", "3-0.7", "2-0.05", "2-1.95", "10-1.2"])
+def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha, second_round):
+    rows, idx = 2000, np.arange(0, 2000, 2)
     ahead = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
     single = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
     for b in (ahead, single):
@@ -148,8 +152,33 @@ def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha):
     assert np.array_equal(ahead.position[1::2], start[1::2])  # rows not drawn
     # a row that consumed 2 or more blocks needed a second round, which drew
     # 2 blocks ahead; the next draw continues right after the consumed ones
-    assert np.max(ahead.position - start) >= 2
+    assert (np.max(ahead.position - start) >= 2) == second_round
     assert np.array_equal(ahead.uniforms(idx, 4), single.uniforms(idx, 4))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.6, 1.9, 1.95])
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+def test_interior_squeeze_bounds_hold(n, alpha):
+    # the engine settles a proposal u from the padded bounds of its cell
+    # floor(u * K); they must hold the exact acceptance probability, computed
+    # as the engine computes it, at every u: on each cell edge, at the
+    # floats just below each edge and at random u
+    lo, hi = _interior_squeeze(n, alpha)
+    K = lo.size
+    edges = np.arange(K) / K
+    below, x = [], np.arange(1, K + 1) / K
+    for _ in range(4):  # the 4 floats below each upper edge
+        x = np.nextafter(x, 0.0)
+        below.append(x)
+    rng = np.random.default_rng(int(100 * alpha) + 1000 * n)
+    u = np.concatenate([edges, *below, rng.random(100_000)])
+    p = interior_accept_prob(u ** (1.0 / alpha), n, alpha)
+    cell = (u * K).astype(np.intp)
+    assert np.all(lo[cell] <= p)
+    assert np.all(p <= hi[cell])
+    # a proposal is tested exactly with probability mean(hi - lo), which is
+    # 1/K (p falls from 1 to 0) plus at most 2 * _SQUEEZE_PAD
+    assert 1.0 / K <= np.mean(hi - lo) <= 1.0 / K + 2e-9
 
 
 # ---------------------------------------------------------------------------
