@@ -7,7 +7,7 @@ Paths jump between inscribed balls using the exact exit law of the ball
 source sample weighted by the ball's Green mass.
 
 Modules:
-    specfun   - incomplete Beta and hypergeometric wrappers
+    specfun   - hypergeometric wrappers for the oracle's sources
     kernels   - ball Green function / exit kernel, radial laws, constants
     sampling  - Philox streams per path, Box-Muller, exit-radius transform,
                 interior acceptance probability

@@ -9,10 +9,12 @@ field        solution profile on a grid     -> <prefix>_field.csv
 constants    print c_tilde, c_hat, zeta_unit, step_bound for (n, alpha, eps)
 
 Every file-writing command also emits <prefix>_summary.json with a config
-echo, wall time, and command-specific results (error metrics, fitted
-slopes, monotonicity checks).  CSV output is UTF-8 with LF line endings,
-'.' decimal separator and 17 significant digits, so a rerun of the same
-config is byte-identical.
+echo, wall time, the dropped and non-finite path counts summed over every
+estimate of the run, and command-specific results (error metrics, fitted
+slopes, monotonicity checks).  Each command walks all of its points at one
+alpha and path count in one call of engine.estimate_field.  CSV output is
+UTF-8 with LF line endings, '.' decimal separator and 17 significant
+digits, so a rerun of the same config is byte-identical.
 
 Config file (JSON)::
 
@@ -57,7 +59,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .engine import WalkConfig, check_starts, error_metric, estimate_point, step_bound
+from .engine import WalkConfig, check_starts, error_metric, estimate_field, step_bound
 from .geometry import (
     AnnulusDomain,
     BallDomain,
@@ -262,12 +264,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_summary(prefix, command, raw, extras, t0):
+def _write_summary(prefix, command, raw, extras, t0, ests):
+    """Write <prefix>_summary.json; ests are every Estimate of the run."""
     payload = {
         "command": command,
         "version": __version__,
         "config": raw,
         "wall_time_s": time.perf_counter() - t0,
+        "n_dropped": sum(e.n_dropped for e in ests),
+        "n_nonfinite": sum(e.n_nonfinite for e in ests),
     }
     payload.update(extras)
     _write_text(prefix + "_summary.json",
@@ -287,7 +292,7 @@ def cmd_solve(raw, threads=None, seed_override=None):
     prefix = _output_prefix(raw)
 
     def run():
-        ests = [estimate_point(problem, walk, constants, p, threads=threads) for p in pts]
+        ests = estimate_field(problem, walk, constants, pts, threads=threads)
         header = ",".join([f"x{d+1}" for d in range(case.n)]
                           + ["mean", "stderr", "steps_mean", "n_paths"])
         lines = [header]
@@ -303,7 +308,7 @@ def cmd_solve(raw, threads=None, seed_override=None):
             perr, rmse = error_metric([e.mean for e in ests], exact)
             extras["paper_error"] = perr
             extras["rmse"] = rmse
-        _write_summary(prefix, "solve", raw, extras, t0)
+        _write_summary(prefix, "solve", raw, extras, t0, ests)
         return 0
 
     return run
@@ -329,12 +334,13 @@ def cmd_convergence(raw, threads=None, seed_override=None):
 
     def run():
         table = {}  # (alpha, N) -> (paper_error, rmse)
+        every = []
         for a, (case, problem, constants) in zip(alphas, built):
             exact = case.u_exact(pts)
             for N, walk in zip(ladder, walks):
-                ests = [estimate_point(problem, walk, constants, p, threads=threads)
-                        for p in pts]
+                ests = estimate_field(problem, walk, constants, pts, threads=threads)
                 table[(a, N)] = error_metric([e.mean for e in ests], exact)
+                every += ests
 
         cols = []
         for a in alphas:
@@ -361,7 +367,8 @@ def cmd_convergence(raw, threads=None, seed_override=None):
                 slopes[f"a{a:g}"] = float(
                     np.polyfit(logN[good], np.log10(errs[good]), 1)[0])
         _write_summary(prefix, "convergence", raw,
-                       {"outputs": [prefix + "_error_vs_N.csv"], "slopes": slopes}, t0)
+                       {"outputs": [prefix + "_error_vs_N.csv"], "slopes": slopes}, t0,
+                       every)
         return 0
 
     return run
@@ -388,10 +395,11 @@ def cmd_steps(raw, threads=None, seed_override=None):
 
         lines = ["alpha,abs_x,steps_mean"]
         means = {}
+        every = []
         for a, (_, problem, constants) in zip(alphas, built):
-            ests = [estimate_point(problem, walk, constants, p, threads=threads)
-                    for p in pts]
+            ests = estimate_field(problem, walk, constants, pts, threads=threads)
             means[a] = np.array([e.mean_steps for e in ests])
+            every += ests
             for i in order:
                 lines.append(",".join([f"{a:g}", _fmt(radii[i]), _fmt(means[a][i])]))
         _write_text(prefix + "_steps.csv", "\n".join(lines) + "\n")
@@ -408,7 +416,7 @@ def cmd_steps(raw, threads=None, seed_override=None):
             raise RuntimeError("steps_mean below 1; the first ball is always built")
         _write_summary(prefix, "steps", raw,
                        {"outputs": [prefix + "_steps.csv"],
-                        "monotone_in_abs_x": monotone}, t0)
+                        "monotone_in_abs_x": monotone}, t0, every)
         return 0
 
     return run
@@ -427,23 +435,19 @@ def cmd_field(raw, threads=None, seed_override=None):
     def run():
         inside = dom.contains(pts)
         values = np.empty(pts.shape[0])
-        n_interior = 0
+        ests = []
         # exterior grid points take the boundary data directly; interior points
         # inside the stopping shell take it at their boundary projection
         values[~inside] = case.g(pts[~inside]) if np.any(~inside) else 0.0
         if np.any(inside):
             own = pts[inside]
-            d = dom.dist_boundary(own)
-            shell = d < walk.epsilon
+            shell = dom.dist_boundary(own) < walk.epsilon
             vals_in = np.empty(own.shape[0])
             if np.any(shell):
                 vals_in[shell] = case.g(dom.project_boundary(own[shell]))
-            deep = ~shell
-            n_interior = int(deep.sum())
-            if n_interior:
-                ests = [estimate_point(problem, walk, constants, p, threads=threads)
-                        for p in own[deep]]
-                vals_in[deep] = [e.mean for e in ests]
+            if not np.all(shell):
+                ests = estimate_field(problem, walk, constants, own[~shell], threads=threads)
+                vals_in[~shell] = [e.mean for e in ests]
             values[inside] = vals_in
 
         header = ",".join([f"x{d+1}" for d in range(case.n)] + ["value"])
@@ -453,7 +457,8 @@ def cmd_field(raw, threads=None, seed_override=None):
         _write_text(prefix + "_field.csv", "\n".join(lines) + "\n")
         _write_summary(prefix, "field", raw,
                        {"outputs": [prefix + "_field.csv"],
-                        "n_points": int(pts.shape[0]), "n_interior": n_interior}, t0)
+                        "n_points": int(pts.shape[0]), "n_interior": len(ests)}, t0,
+                       ests)
         return 0
 
     return run
@@ -494,7 +499,9 @@ def _build_parser():
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="walk the (point, path) pairs in K contiguous spans, "
+                            "one thread each; the output does not change")
         p.add_argument("--seed", type=int, default=None,
                        help="override walk.seed from the config")
     p = sub.add_parser("constants", help="print analytic constants")

@@ -11,9 +11,9 @@ and stops when the jump lands outside the domain (score = acc + g(x_{k+1}))
 or inside the epsilon-shell along the boundary (score = acc + g(projected
 point)).  The estimate at x0 is the sample mean of the path scores.
 
-Reproducibility contract: path i of a run draws from the addressed stream
-(seed, stream_id = i, substream = hash(x0)), consuming counter blocks per
-step in a fixed order:
+Reproducibility contract: path i at start point x0 draws from the addressed
+stream (seed, stream_id = i, substream = hash(x0)) from counter 0,
+consuming counter blocks per step in a fixed order:
 
     1. interior-radius rejection, two proposals per block     (f given)
     2. interior direction, n Gaussians in whole blocks          (f given)
@@ -28,15 +28,23 @@ of the proposal uniform, and against the exact acceptance probability
 (a betainc) only when it falls between them; the bounds are padded so that
 both routes decide alike, so the draw order and the counter positions are
 those of the exact test.
-A path therefore replays bit-identically whether it runs alone (run_path),
-inside any chunk of estimate_point, or under any thread count.
-Aggregation sums full score arrays in path-index order, which keeps the
-reduction independent of scheduling as well.
+The walk is one wavefront of rows (_walk).  Each row holds one (point,
+path) pair, with the pair's own stream id and substream, and the pairs are
+issued in the flat order k = p * num_paths + i.  A row whose path ends
+(exit, shell or step cap) hands over its score and is refilled with the
+next pending pair, from that point's start and counter 0.  So a path
+replays bit-identically alone (run_path), at any wavefront width, next to
+any other points, and in any thread's span of pairs.  Each point's scores
+land in a full array indexed by path and are summed in path-index order
+once its last path ends, which keeps the reduction independent of
+scheduling as well.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +71,7 @@ __all__ = [
     "error_metric",
 ]
 
-_CHUNK_PATHS = 65536
+_WAVEFRONT = 16384  # rows walked in lockstep
 _REJECTION_CAP = 500_000  # blocks per interior radius, two proposals each
 # Interior rejection squeeze: cells of the proposal uniform (a power of two)
 # and the relative padding of their acceptance bounds.
@@ -237,13 +245,17 @@ def _unit_rows(z):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _walk_chunk(problem, config, constants, path_ids, x0, substream):
-    """Run one lockstep chunk of paths, all started at x0.
+def _walk(problem, config, constants, starts, span, width, land):
+    """Walk the (point, path) pairs k = p * num_paths + i for k in range(*span)
+    on a wavefront of at most `width` rows; path i of start point p draws
+    from the stream (seed, i, point_substream(starts[p])).
 
-    Returns (scores, steps, exit_points, shell_flags, dropped_flags) as
-    arrays indexed like path_ids."""
+    After each step the paths that ended go to land(k, score, steps,
+    dropped, exit_pt, shell), one array entry per path, and their rows are
+    refilled with the next pending pairs in k order."""
     dom = problem.domain
     n, alpha = problem.n, problem.alpha
+    N = config.num_paths
     zeta_unit = constants.zeta_unit
     f = _FieldEval(problem.f) if problem.f is not None else None
     g = _FieldEval(problem.g)
@@ -255,19 +267,40 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
     exit_dir = dir_words if f is not None else 0
     exit_word = exit_dir + dir_words
 
-    m = path_ids.shape[0]
-    batch = sampling.StreamBatch(config.seed, path_ids, substream)
-    x = np.tile(np.asarray(x0, dtype=float), (m, 1))
-    r_all = dom.dist_boundary(x)  # carried: each live path's distance
-    acc = np.zeros(m)
-    steps = np.zeros(m, dtype=np.int64)
-    score = np.zeros(m)
-    exit_pt = np.zeros((m, n))
-    shell = np.zeros(m, dtype=bool)
-    dropped = np.zeros(m, dtype=bool)
-    live = np.ones(m, dtype=bool)
+    nxt, stop = span
+    p0 = nxt // N  # the span's start points are starts[p0:], keyed once
+    own = starts[p0 : (stop - 1) // N + 1]
+    subs = np.array([sampling.point_substream(p) for p in own], dtype=np.uint64)
+    r0 = dom.dist_boundary(own)
+
+    m = min(width, stop - nxt)
+    batch = sampling.StreamBatch(config.seed, np.zeros(m, dtype=np.uint64))
+    # per row: its pair, state and outcome; r_all carries the live distance
+    pair, steps = np.zeros((2, m), dtype=np.int64)
+    r_all, acc, score = np.zeros((3, m))
+    x, exit_pt = np.zeros((2, m, n))
+    shell, dropped, live = np.zeros((3, m), dtype=bool)
     local = np.arange(m)
 
+    def refill(rows):
+        nonlocal nxt
+        rows = rows[: stop - nxt]
+        k = np.arange(nxt, nxt + rows.size)
+        nxt += rows.size
+        p, i = np.divmod(k, N)
+        p -= p0
+        pair[rows] = k
+        x[rows] = own[p]
+        r_all[rows] = r0[p]
+        acc[rows] = 0.0
+        steps[rows] = 0
+        shell[rows] = dropped[rows] = False
+        live[rows] = True
+        batch.stream_ids[rows] = i
+        batch.substreams[rows] = subs[p]
+        batch.position[rows] = 0
+
+    refill(local)
     while np.any(live):
         li = local[live]
         xa = x[li]
@@ -310,11 +343,14 @@ def _walk_chunk(problem, config, constants, path_ids, x0, substream):
             r_all[go_on] = d[~in_shell]
 
         capped = live & (steps >= config.max_steps)
-        if np.any(capped):
-            dropped |= capped
-            live &= ~capped
+        dropped |= capped
+        live &= ~capped
 
-    return score, steps, exit_pt, shell, dropped
+        ended = li[~live[li]]
+        if ended.size:
+            land(pair[ended], score[ended], steps[ended], dropped[ended],
+                 exit_pt[ended], shell[ended])
+            refill(ended)
 
 
 def check_starts(problem, config, points) -> np.ndarray:
@@ -337,23 +373,16 @@ def check_starts(problem, config, points) -> np.ndarray:
     return pts
 
 
-def _validate_start(problem, config, x0):
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n,):
-        raise ValueError(f"start point must have shape ({problem.n},)")
-    check_starts(problem, config, x0[None, :])
-    return x0
-
-
 def run_path(problem, config, constants, x0, path_idx: int) -> PathRealization:
     """Run a single path; bit-identical to path path_idx of estimate_point."""
     _check_consistency(problem, constants)
-    x0 = _validate_start(problem, config, x0)
-    ids = np.array([path_idx], dtype=np.uint64)
-    sub = sampling.point_substream(x0)
-    score, steps, exit_pt, shell, dropped = _walk_chunk(
-        problem, config, constants, ids, x0, sub
-    )
+    start = check_starts(problem, config, np.reshape(x0, (1, -1)))
+    ended = []
+    # the one pair k = path_idx of a single point with path_idx + 1 paths
+    one = dataclasses.replace(config, num_paths=path_idx + 1)
+    _walk(problem, one, constants, start, (path_idx, path_idx + 1), 1,
+          lambda *landed: ended.append(landed))
+    _, score, steps, dropped, exit_pt, shell = ended[0]
     if dropped[0]:
         raise StepCapExceeded(f"path {path_idx} exceeded {config.max_steps} steps")
     return PathRealization(
@@ -364,43 +393,9 @@ def run_path(problem, config, constants, x0, path_idx: int) -> PathRealization:
     )
 
 
-def estimate_point(
-    problem,
-    config,
-    constants,
-    x0,
-    threads: int | None = None,
-    chunk_paths: int = _CHUNK_PATHS,
-) -> Estimate:
-    """Monte Carlo estimate of the solution at x0 from num_paths paths.
-
-    Scores land in a full array indexed by path and are reduced with a
-    single pairwise sum, so the result is deterministic for fixed
-    (seed, num_paths, config) regardless of threads or chunking."""
-    _check_consistency(problem, constants)
-    x0 = _validate_start(problem, config, x0)
+def _reduce(config, scores, steps, dropped) -> Estimate:
+    """The Estimate of one point from its paths' arrays in path-index order."""
     N = config.num_paths
-    sub = sampling.point_substream(x0)
-
-    scores = np.empty(N)
-    steps = np.empty(N, dtype=np.int64)
-    dropped = np.zeros(N, dtype=bool)
-
-    def work(start, stop):
-        ids = np.arange(start, stop, dtype=np.uint64)
-        s, st, _, _, dr = _walk_chunk(problem, config, constants, ids, x0, sub)
-        scores[start:stop] = s
-        steps[start:stop] = st
-        dropped[start:stop] = dr
-
-    spans = [(a, min(a + chunk_paths, N)) for a in range(0, N, chunk_paths)]
-    if threads and threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: work(*ab), spans))
-    else:
-        for a, b in spans:
-            work(a, b)
-
     nonfinite = ~dropped & ~np.isfinite(scores)
     keep = ~dropped & ~nonfinite
     n_kept = int(keep.sum())
@@ -410,13 +405,11 @@ def estimate_point(
         warnings.warn(
             f"{n_drop} of {N} paths hit max_steps={config.max_steps} and were dropped",
             RuntimeWarning,
-            stacklevel=2,
         )
     if n_bad:
         warnings.warn(
             f"{n_bad} of {N} paths scored a non-finite value and were excluded",
             RuntimeWarning,
-            stacklevel=2,
         )
     if n_kept == 0:
         raise RuntimeError(
@@ -424,16 +417,30 @@ def estimate_point(
             f"{n_bad} scored a non-finite value"
         )
 
-    kept_scores = scores[keep]
-    mean = float(np.sum(kept_scores) / n_kept)
+    kept = scores[keep]
+    mean = float(np.sum(kept) / n_kept)
+    var = 0.0
     if n_kept > 1:
-        var = float(np.sum((kept_scores - mean) ** 2) / (n_kept - 1))
-    else:
-        var = 0.0
+        with np.errstate(over="ignore"):
+            var = float(np.sum((kept - mean) ** 2) / (n_kept - 1))
+    stderr = float(np.sqrt(var / n_kept))
+    if not np.isfinite(var):
+        # finite scores whose squared deviations overflow: the moments of
+        # the scores scaled by max |score| give a finite stderr
+        s = float(np.max(np.abs(kept)))
+        z = kept / s
+        zvar = float(np.sum((z - np.sum(z) / n_kept) ** 2) / (n_kept - 1))
+        var = s * (s * zvar)  # inf where the variance is beyond the float range
+        stderr = s * float(np.sqrt(zvar / n_kept))
+        warnings.warn(
+            f"the variance of {n_kept} scores overflows; stderr was computed "
+            "from the scores scaled by their largest magnitude",
+            RuntimeWarning,
+        )
     return Estimate(
         mean=mean,
         variance=var,
-        stderr=float(np.sqrt(var / n_kept)),
+        stderr=stderr,
         n_paths=n_kept,
         mean_steps=float(steps[keep].mean()),
         n_dropped=n_drop,
@@ -441,26 +448,59 @@ def estimate_point(
     )
 
 
-def estimate_field(
-    problem,
-    config,
-    constants,
-    points: Sequence,
-    threads: int | None = None,
-) -> list[Estimate]:
-    """Independent estimates at several points.
+def estimate_point(problem, config, constants, x0, threads: int | None = None,
+                   chunk_paths: int = _WAVEFRONT) -> Estimate:
+    """Monte Carlo estimate of the solution at x0 from num_paths paths:
+    estimate_field on the one point."""
+    start = np.reshape(x0, (1, -1))
+    return estimate_field(problem, config, constants, start, threads, chunk_paths)[0]
 
-    Each point uses substream = hash(point), so results are independent of
+
+def estimate_field(problem, config, constants, points: Sequence, threads: int | None = None,
+                   chunk_paths: int = _WAVEFRONT) -> list[Estimate]:
+    """Independent estimates at several points, walked in one wavefront of
+    chunk_paths rows.
+
+    Point p uses substream = hash(point), so results are independent of
     evaluation order and duplicated points reproduce identical estimates.
-    All points are validated up front."""
+    Each point's scores land in a full array indexed by path and are reduced
+    once its last path ends, so the result is the same for any wavefront
+    width.  threads = k > 1 splits the flat list of (point, path) pairs into
+    k contiguous spans, one wavefront per span, with the same result.  All
+    points are validated up front."""
     _check_consistency(problem, constants)
     pts = check_starts(problem, config, points)
-    if threads and threads > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda p: estimate_point(problem, config, constants, p), pts)
-            )
-    return [estimate_point(problem, config, constants, p) for p in pts]
+    N = config.num_paths
+    total = pts.shape[0] * N
+    out = [None] * pts.shape[0]
+    open_points = {}  # p -> [scores, steps, dropped, paths still walking]
+    lock = threading.Lock()
+
+    def land(k, score, steps, dropped, exit_pt, shell):
+        p, i = np.divmod(k, N)
+        with lock:
+            for q in np.unique(p).tolist():
+                at = p == q
+                slot = open_points.setdefault(q, [np.empty(N), np.empty(N, dtype=np.int64),
+                                                  np.empty(N, dtype=bool), N])
+                slot[0][i[at]] = score[at]
+                slot[1][i[at]] = steps[at]
+                slot[2][i[at]] = dropped[at]
+                slot[3] -= int(np.count_nonzero(at))
+                if slot[3] == 0:
+                    del open_points[q]
+                    out[q] = _reduce(config, *slot[:3])
+
+    k = max(1, min(threads or 1, total))
+    spans = [(total * j // k, total * (j + 1) // k) for j in range(k)]
+    walk = functools.partial(_walk, problem, config, constants, pts,
+                             width=chunk_paths, land=land)
+    if k > 1:
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            list(pool.map(walk, spans))
+    else:
+        walk(spans[0])
+    return out
 
 
 def step_bound(n: int, alpha: float, r: float, epsilon: float):

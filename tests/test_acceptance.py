@@ -23,6 +23,7 @@ import math
 import pathlib
 
 import numpy as np
+from beta_reference import BetaParams, beta, inc_beta
 from scipy.special import betaincinv
 from zeta_reference import gauss_jacobi_rule, zeta_unit_quadrature
 
@@ -46,13 +47,7 @@ from fracwos.oracle import (
     constant_source,
     make_case,
 )
-from fracwos.specfun import (
-    BetaParams,
-    beta,
-    hyp1f1,
-    hyp2f1,
-    inc_beta,
-)
+from fracwos.specfun import hyp1f1, hyp2f1
 
 _DATA = pathlib.Path(__file__).parent / "data"
 # asymptotic two-sided critical value of sqrt(N) * D_N at the 1% level

@@ -108,6 +108,7 @@ def test_solve_outputs_and_summary(tmp_path):
     assert summary["wall_time_s"] > 0
     assert summary["paper_error"] >= 0 and summary["rmse"] >= 0
     assert summary["outputs"] == [str(tmp_path / "out" / "run_estimates.csv")]
+    assert (summary["n_dropped"], summary["n_nonfinite"]) == (0, 0)
 
 
 def test_solve_csv_roundtrips_the_estimate_bits(tmp_path):
@@ -135,6 +136,19 @@ def test_solve_rerun_and_threads_are_byte_identical(tmp_path):
     bytes_a = (tmp_path / "a" / "run_estimates.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "run_estimates.csv").read_bytes()
     assert bytes_a == bytes_b
+    # field walks all its grid nodes in one wavefront; three threads split it
+    fld = _cfg(
+        tmp_path,
+        name="fld.json",
+        case={"name": "disk_inverse_cubic", "alpha": 1.5},
+        points={"type": "grid", "resolution": 5, "margin": 0.1},
+        walk={"num_paths": 300, "seed": 4},
+        output=str(tmp_path / "fld"),
+    )
+    assert cli.main(["field", "--config", fld]) == 0
+    one = (tmp_path / "fld_field.csv").read_bytes()
+    assert cli.main(["field", "--config", fld, "--threads", "3"]) == 0
+    assert (tmp_path / "fld_field.csv").read_bytes() == one
 
 
 def test_solve_seed_override_matches_config_edit(tmp_path):
@@ -150,6 +164,19 @@ def test_solve_seed_override_matches_config_edit(tmp_path):
     bytes_a = (tmp_path / "a" / "run_estimates.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "run_estimates.csv").read_bytes()
     assert bytes_a == bytes_b
+    # field walks all its grid nodes in one wavefront; three threads split it
+    fld = _cfg(
+        tmp_path,
+        name="fld.json",
+        case={"name": "disk_inverse_cubic", "alpha": 1.5},
+        points={"type": "grid", "resolution": 5, "margin": 0.1},
+        walk={"num_paths": 300, "seed": 4},
+        output=str(tmp_path / "fld"),
+    )
+    assert cli.main(["field", "--config", fld]) == 0
+    one = (tmp_path / "fld_field.csv").read_bytes()
+    assert cli.main(["field", "--config", fld, "--threads", "3"]) == 0
+    assert (tmp_path / "fld_field.csv").read_bytes() == one
     # and it actually changed something relative to seed 0
     plain = _solve_cfg(tmp_path, name="c.json", out="c/run")
     assert cli.main(["solve", "--config", plain]) == 0
@@ -285,6 +312,35 @@ def test_steps_measures_abs_x_from_the_ball_centre(tmp_path):
     radii = [float(r[1]) for r in rows]
     assert radii == pytest.approx([0.0, 0.5, 0.8, 0.9], abs=1e-12)
     assert float(rows[0][2]) == 1.0  # from the centre every path exits at once
+
+
+@pytest.mark.parametrize("command", ["solve", "field", "convergence", "steps"])
+def test_summary_counts_dropped_paths(tmp_path, command):
+    # at max_steps = 1 every path that needs a second jump is dropped
+    walk = {"epsilon": 1e-6, "num_paths": 200, "seed": 0, "max_steps": 1}
+    points = {"type": "list", "values": [[0.0, 0.0], [0.5, 0.0], [0.0, -0.7]]}
+    extra = {}
+    if command == "field":
+        points = {"type": "grid", "resolution": 4, "margin": 0.3}
+    elif command == "convergence":
+        extra = {"path_ladder": [100, 200]}
+        walk.pop("num_paths")
+    cfg = _cfg(tmp_path, case="disk_constant_source", points=points, walk=walk,
+               output=str(tmp_path / "cap"), **extra)
+    with pytest.warns(RuntimeWarning, match="max_steps=1"):
+        assert cli.main([command, "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "cap_summary.json").read_text())
+    assert summary["n_dropped"] > 0
+    assert summary["n_nonfinite"] == 0
+    if command == "solve":
+        case = make_case("disk_constant_source", 1.0)
+        with pytest.warns(RuntimeWarning):
+            dropped = sum(
+                estimate_point(case.problem(), WalkConfig(**walk), make_constants(2, 1.0),
+                               np.array(x)).n_dropped
+                for x in points["values"]
+            )
+        assert summary["n_dropped"] == dropped
 
 
 # ---------------------------------------------------------------------------

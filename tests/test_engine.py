@@ -11,6 +11,8 @@ with zero Monte Carlo noise.
 import dataclasses
 import functools
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -18,14 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwos import sampling
 from fracwos.engine import (
     Estimate,
     ProblemSpec,
     StepCapExceeded,
     WalkConfig,
     _FieldEval,
-    _walk_chunk,
+    _walk,
     error_metric,
     estimate_field,
     estimate_point,
@@ -236,14 +237,16 @@ def _replay_base():
 def test_replay_under_any_chunking(chunk, i):
     est = estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, chunk_paths=chunk)
     assert est == _replay_base()
-    # path i alone equals path i inside its chunk
+    # path i alone equals path i inside a wavefront of width chunk over its chunk
     a = i - i % chunk
-    ids = np.arange(a, min(a + chunk, _REPLAY_N), dtype=np.uint64)
-    sub = sampling.point_substream(_REPLAY_X0)
-    scores, steps = _walk_chunk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, ids, _REPLAY_X0, sub)[:2]
+    landed = []
+    _walk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0[None, :],
+          (a, min(a + chunk, _REPLAY_N)), chunk, lambda *batch: landed.append(batch[:3]))
+    pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
+    at = np.flatnonzero(pairs == i)[0]
     path = run_path(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, i)
-    assert path.score == scores[i - a]
-    assert path.steps == steps[i - a]
+    assert path.score == scores[at]
+    assert path.steps == steps[at]
 
 
 def test_duplicate_points_reproduce_identical_estimates():
@@ -261,6 +264,57 @@ def test_duplicate_points_reproduce_identical_estimates():
     assert swapped[0] == ests[1]
     threaded = estimate_field(prob, cfg, k, [p, q, p], threads=2)
     assert threaded == ests
+
+
+# estimate_field's wavefront: the same Estimates, bit for bit, for any width,
+# any order of the points and a duplicated point
+_FIELD_N = 12
+_FIELD_PROB = ProblemSpec(n=2, alpha=1.9, f=_poly_source, g=_bounded_exterior,
+                          domain=LShapeDomain())
+_FIELD_CFG = WalkConfig(epsilon=1e-4, num_paths=_FIELD_N, seed=31)
+_FIELD_K = make_constants(2, 1.9)
+_FIELD_PTS = np.array([[0.4, -0.3], [-0.5, 0.5], [-0.2, -0.6]])
+
+
+def _bits(est):
+    return (est.mean.hex(), est.variance.hex(), est.stderr.hex(), est.mean_steps.hex(),
+            est.n_paths, est.n_dropped, est.n_nonfinite)
+
+
+@functools.cache
+def _field_base():
+    ests = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, _FIELD_PTS)
+    return [_bits(e) for e in ests]
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(range(3)), dup=st.integers(0, 2), data=st.data())
+def test_field_is_the_same_under_any_width_and_point_order(order, dup, data):
+    idx = list(order) + [dup]
+    width = data.draw(st.integers(1, _FIELD_N * len(idx)), label="width")
+    ests = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, _FIELD_PTS[idx],
+                          chunk_paths=width)
+    assert [_bits(e) for e in ests] == [_field_base()[j] for j in idx]
+
+
+def test_threaded_field_under_frequent_thread_switches():
+    # four spans on two cores, switching threads every microsecond: a lost
+    # update to a point's landing slot would leave the point unreduced or
+    # change its bits; the spans split points between threads
+    pts = _FIELD_PTS[[0, 1, 2, 0, 2]]
+    base = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, pts, chunk_paths=5)
+    result = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: result.append(estimate_field(
+            _FIELD_PROB, _FIELD_CFG, _FIELD_K, pts, threads=4, chunk_paths=5)))
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert [_bits(e) for e in result[0]] == [_bits(e) for e in base]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +426,25 @@ def test_overflowing_exterior_data_leaves_a_finite_mean():
     assert est.n_nonfinite > 0
     assert np.isfinite(est.mean)
     assert est.n_paths + est.n_nonfinite == 20000
+
+
+def test_overflowing_variance_gives_a_finite_stderr():
+    # every score is finite (the largest is about 2.1e256), but their squared
+    # deviations overflow; the variance itself, about 2e509, is beyond the
+    # float range
+    prob = _ball_problem(2, 0.3, g=lambda pts: np.sum(pts * pts, axis=1) ** 12)
+    cfg = WalkConfig(epsilon=1e-6, num_paths=2000, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = estimate_point(prob, cfg, make_constants(2, 0.3), np.array([0.2, 0.1]))
+    assert [str(w.message) for w in caught] == [
+        "the variance of 2000 scores overflows; stderr was computed from the "
+        "scores scaled by their largest magnitude"
+    ]
+    assert (est.n_paths, est.n_nonfinite, est.n_dropped) == (2000, 0, 0)
+    assert est.variance == math.inf
+    assert est.stderr == pytest.approx(1.0646e253, rel=1e-3)
+    assert est.mean == pytest.approx(1.0646e253, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

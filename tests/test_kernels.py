@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from beta_reference import BetaParams, beta, inc_beta
 from scipy.integrate import quad
 
 from fracwos.geometry import BallDomain
@@ -23,7 +24,6 @@ from fracwos.kernels import (
     poisson_kernel,
     zeta_center,
 )
-from fracwos.specfun import BetaParams, beta, inc_beta
 
 
 def _sphere_area(n):
