@@ -10,7 +10,7 @@ Run:  python demos/ball_exact_solutions.py
 
 import numpy as np
 
-from fracwos.engine import WalkConfig, estimate_point
+from fracwos.engine import WalkConfig, estimate_field
 from fracwos.kernels import make_constants
 from fracwos.oracle import make_case
 
@@ -25,8 +25,7 @@ def run_case(name, alpha):
     cfg = WalkConfig(epsilon=1e-6, num_paths=N_PATHS, seed=42)
     print(f"\n{name}, alpha = {alpha}, N = {N_PATHS}")
     print(f"{'point':>14} {'estimate':>12} {'stderr':>10} {'exact':>12} {'dev/sigma':>10}")
-    for x in POINTS:
-        est = estimate_point(prob, cfg, k, x)
+    for x, est in zip(POINTS, estimate_field(prob, cfg, k, POINTS)):
         exact = float(case.u_exact(np.atleast_2d(x))[0])
         dev = (est.mean - exact) / est.stderr if est.stderr > 0 else 0.0
         print(f"({x[0]:+.2f},{x[1]:+.2f})  {est.mean:12.6f} {est.stderr:10.2e} "

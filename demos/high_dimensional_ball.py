@@ -11,7 +11,7 @@ Run:  python demos/high_dimensional_ball.py
 
 import numpy as np
 
-from fracwos.engine import WalkConfig, estimate_point
+from fracwos.engine import WalkConfig, estimate_field
 from fracwos.kernels import make_constants
 from fracwos.oracle import make_case
 
@@ -27,10 +27,10 @@ def main():
 
     print(f"unit ball in R^10, alpha = {ALPHA}, N = {N_PATHS}")
     print(f"{'|x|':>6} {'estimate':>12} {'stderr':>10} {'exact':>12} {'steps':>7}")
-    for radius in (0.0, 0.2, 0.4, 0.6, 0.8):
-        x = np.zeros(10)
-        x[0] = radius
-        est = estimate_point(prob, cfg, k, x)
+    radii = (0.0, 0.2, 0.4, 0.6, 0.8)
+    pts = np.zeros((len(radii), 10))
+    pts[:, 0] = radii
+    for radius, est in zip(radii, estimate_field(prob, cfg, k, pts)):
         exact = (1.0 - radius**2) ** (ALPHA / 2.0)
         print(f"{radius:6.2f} {est.mean:12.6f} {est.stderr:10.2e} "
               f"{exact:12.6f} {est.mean_steps:7.3f}")

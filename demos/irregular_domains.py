@@ -11,7 +11,7 @@ Run:  python demos/irregular_domains.py
 
 import numpy as np
 
-from fracwos.engine import WalkConfig, estimate_field, estimate_point
+from fracwos.engine import WalkConfig, estimate_field
 from fracwos.kernels import make_constants
 from fracwos.oracle import make_case
 
@@ -38,12 +38,13 @@ def qualitative_profile(name, line_points):
     k = make_constants(2, 1.0)
     cfg = WalkConfig(epsilon=1e-5, num_paths=N_PATHS, seed=5)
     inside = case.domain.contains(line_points)
+    ests = iter(estimate_field(prob, cfg, k, line_points[inside]))
     print(f"\n{name}: solution along a line, N = {N_PATHS}")
     for x, ok in zip(line_points, inside):
         if not ok:
             print(f"({x[0]:+.2f},{x[1]:+.2f})  outside, u = g = 0")
             continue
-        est = estimate_point(prob, cfg, k, x)
+        est = next(ests)
         bar = "#" * max(0, int(round(40 * abs(est.mean))))
         print(f"({x[0]:+.2f},{x[1]:+.2f})  {est.mean:+8.4f}  {bar}")
 

@@ -283,7 +283,7 @@ def _write_summary(prefix, command, raw, extras, t0, ests):
 # commands: each builds the whole run and returns the closure that walks
 
 
-def cmd_solve(raw, threads=None, seed_override=None):
+def cmd_solve(raw, seed_override=None):
     t0 = time.perf_counter()
     case, problem, constants = _case_at(_parse_case(raw["case"]))
     walk = _parse_walk(raw.get("walk"), seed_override)
@@ -292,7 +292,7 @@ def cmd_solve(raw, threads=None, seed_override=None):
     prefix = _output_prefix(raw)
 
     def run():
-        ests = estimate_field(problem, walk, constants, pts, threads=threads)
+        ests = estimate_field(problem, walk, constants, pts)
         header = ",".join([f"x{d+1}" for d in range(case.n)]
                           + ["mean", "stderr", "steps_mean", "n_paths"])
         lines = [header]
@@ -314,7 +314,7 @@ def cmd_solve(raw, threads=None, seed_override=None):
     return run
 
 
-def cmd_convergence(raw, threads=None, seed_override=None):
+def cmd_convergence(raw, seed_override=None):
     t0 = time.perf_counter()
     parsed_case = _parse_case(raw["case"])
     alphas = _alphas(raw, parsed_case)
@@ -338,7 +338,7 @@ def cmd_convergence(raw, threads=None, seed_override=None):
         for a, (case, problem, constants) in zip(alphas, built):
             exact = case.u_exact(pts)
             for N, walk in zip(ladder, walks):
-                ests = estimate_field(problem, walk, constants, pts, threads=threads)
+                ests = estimate_field(problem, walk, constants, pts)
                 table[(a, N)] = error_metric([e.mean for e in ests], exact)
                 every += ests
 
@@ -374,7 +374,7 @@ def cmd_convergence(raw, threads=None, seed_override=None):
     return run
 
 
-def cmd_steps(raw, threads=None, seed_override=None):
+def cmd_steps(raw, seed_override=None):
     t0 = time.perf_counter()
     parsed_case = _parse_case(raw["case"])
     alphas = _alphas(raw, parsed_case)
@@ -397,7 +397,7 @@ def cmd_steps(raw, threads=None, seed_override=None):
         means = {}
         every = []
         for a, (_, problem, constants) in zip(alphas, built):
-            ests = estimate_field(problem, walk, constants, pts, threads=threads)
+            ests = estimate_field(problem, walk, constants, pts)
             means[a] = np.array([e.mean_steps for e in ests])
             every += ests
             for i in order:
@@ -422,7 +422,7 @@ def cmd_steps(raw, threads=None, seed_override=None):
     return run
 
 
-def cmd_field(raw, threads=None, seed_override=None):
+def cmd_field(raw, seed_override=None):
     t0 = time.perf_counter()
     case, problem, constants = _case_at(_parse_case(raw["case"]))
     walk = _parse_walk(raw.get("walk"), seed_override)
@@ -446,7 +446,7 @@ def cmd_field(raw, threads=None, seed_override=None):
             if np.any(shell):
                 vals_in[shell] = case.g(dom.project_boundary(own[shell]))
             if not np.all(shell):
-                ests = estimate_field(problem, walk, constants, own[~shell], threads=threads)
+                ests = estimate_field(problem, walk, constants, own[~shell])
                 vals_in[~shell] = [e.mean for e in ests]
             values[inside] = vals_in
 
@@ -499,9 +499,6 @@ def _build_parser():
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--threads", type=int, default=None,
-                       help="walk the (point, path) pairs in K contiguous spans, "
-                            "one thread each; the output does not change")
         p.add_argument("--seed", type=int, default=None,
                        help="override walk.seed from the config")
     p = sub.add_parser("constants", help="print analytic constants")
@@ -527,8 +524,7 @@ def main(argv=None) -> int:
             run = cmd_constants(args)
         else:
             raw = _load_config(args.config, args.command)
-            run = _BUILD[args.command](raw, threads=args.threads,
-                                      seed_override=args.seed)
+            run = _BUILD[args.command](raw, seed_override=args.seed)
     except Exception as exc:  # noqa: BLE001 - anything before the first walk
         print(f"config error: {exc}", file=sys.stderr)
         return 2

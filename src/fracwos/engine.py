@@ -33,20 +33,17 @@ path) pair, with the pair's own stream id and substream, and the pairs are
 issued in the flat order k = p * num_paths + i.  A row whose path ends
 (exit, shell or step cap) hands over its score and is refilled with the
 next pending pair, from that point's start and counter 0.  So a path
-replays bit-identically alone (run_path), at any wavefront width, next to
-any other points, and in any thread's span of pairs.  Each point's scores
-land in a full array indexed by path and are summed in path-index order
-once its last path ends, which keeps the reduction independent of
-scheduling as well.
+replays bit-identically alone (run_path), at any wavefront width and next
+to any other points.  Each point's scores land in a full array indexed by
+path and are summed in path-index order once its last path ends, which
+keeps the reduction independent of the width as well.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -284,6 +281,8 @@ def _walk(problem, config, constants, starts, span, width, land):
 
     def refill(rows):
         nonlocal nxt
+        if nxt == stop:  # the tail: every pair has been issued
+            return
         rows = rows[: stop - nxt]
         k = np.arange(nxt, nxt + rows.size)
         nxt += rows.size
@@ -448,58 +447,42 @@ def _reduce(config, scores, steps, dropped) -> Estimate:
     )
 
 
-def estimate_point(problem, config, constants, x0, threads: int | None = None,
-                   chunk_paths: int = _WAVEFRONT) -> Estimate:
+def estimate_point(problem, config, constants, x0) -> Estimate:
     """Monte Carlo estimate of the solution at x0 from num_paths paths:
     estimate_field on the one point."""
-    start = np.reshape(x0, (1, -1))
-    return estimate_field(problem, config, constants, start, threads, chunk_paths)[0]
+    return estimate_field(problem, config, constants, np.reshape(x0, (1, -1)))[0]
 
 
-def estimate_field(problem, config, constants, points: Sequence, threads: int | None = None,
-                   chunk_paths: int = _WAVEFRONT) -> list[Estimate]:
+def estimate_field(problem, config, constants, points: Sequence) -> list[Estimate]:
     """Independent estimates at several points, walked in one wavefront of
-    chunk_paths rows.
+    at most _WAVEFRONT rows.
 
     Point p uses substream = hash(point), so results are independent of
     evaluation order and duplicated points reproduce identical estimates.
     Each point's scores land in a full array indexed by path and are reduced
     once its last path ends, so the result is the same for any wavefront
-    width.  threads = k > 1 splits the flat list of (point, path) pairs into
-    k contiguous spans, one wavefront per span, with the same result.  All
-    points are validated up front."""
+    width.  All points are validated up front."""
     _check_consistency(problem, constants)
     pts = check_starts(problem, config, points)
     N = config.num_paths
-    total = pts.shape[0] * N
     out = [None] * pts.shape[0]
     open_points = {}  # p -> [scores, steps, dropped, paths still walking]
-    lock = threading.Lock()
 
     def land(k, score, steps, dropped, exit_pt, shell):
         p, i = np.divmod(k, N)
-        with lock:
-            for q in np.unique(p).tolist():
-                at = p == q
-                slot = open_points.setdefault(q, [np.empty(N), np.empty(N, dtype=np.int64),
-                                                  np.empty(N, dtype=bool), N])
-                slot[0][i[at]] = score[at]
-                slot[1][i[at]] = steps[at]
-                slot[2][i[at]] = dropped[at]
-                slot[3] -= int(np.count_nonzero(at))
-                if slot[3] == 0:
-                    del open_points[q]
-                    out[q] = _reduce(config, *slot[:3])
+        for q in np.unique(p).tolist():
+            at = p == q
+            slot = open_points.setdefault(q, [np.empty(N), np.empty(N, dtype=np.int64),
+                                              np.empty(N, dtype=bool), N])
+            slot[0][i[at]] = score[at]
+            slot[1][i[at]] = steps[at]
+            slot[2][i[at]] = dropped[at]
+            slot[3] -= int(np.count_nonzero(at))
+            if slot[3] == 0:
+                del open_points[q]
+                out[q] = _reduce(config, *slot[:3])
 
-    k = max(1, min(threads or 1, total))
-    spans = [(total * j // k, total * (j + 1) // k) for j in range(k)]
-    walk = functools.partial(_walk, problem, config, constants, pts,
-                             width=chunk_paths, land=land)
-    if k > 1:
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            list(pool.map(walk, spans))
-    else:
-        walk(spans[0])
+    _walk(problem, config, constants, pts, (0, pts.shape[0] * N), _WAVEFRONT, land)
     return out
 
 

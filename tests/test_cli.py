@@ -2,9 +2,8 @@
 
 Each test drives fracwos.cli.main with a JSON config in a temp directory
 and inspects the produced CSV/JSON files.  Determinism matters as much as
-the numbers: a rerun of the same config must be byte-identical, threads
-must not change results, and seed overrides must equal the corresponding
-config edit.
+the numbers: a rerun of the same config must be byte-identical, and seed
+overrides must equal the corresponding config edit.
 """
 
 import json
@@ -127,16 +126,15 @@ def test_solve_csv_roundtrips_the_estimate_bits(tmp_path):
     assert float(rows[1][3]) == est.stderr
 
 
-def test_solve_rerun_and_threads_are_byte_identical(tmp_path):
+def test_solve_and_field_reruns_are_byte_identical(tmp_path):
     cfg_a = _solve_cfg(tmp_path, name="a.json", out="a/run")
     cfg_b = _solve_cfg(tmp_path, name="b.json", out="b/run")
     assert cli.main(["solve", "--config", cfg_a]) == 0
     assert cli.main(["solve", "--config", cfg_b]) == 0
-    assert cli.main(["solve", "--config", cfg_a, "--threads", "3"]) == 0
     bytes_a = (tmp_path / "a" / "run_estimates.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "run_estimates.csv").read_bytes()
     assert bytes_a == bytes_b
-    # field walks all its grid nodes in one wavefront; three threads split it
+    # field walks all its grid nodes in one wavefront
     fld = _cfg(
         tmp_path,
         name="fld.json",
@@ -147,8 +145,15 @@ def test_solve_rerun_and_threads_are_byte_identical(tmp_path):
     )
     assert cli.main(["field", "--config", fld]) == 0
     one = (tmp_path / "fld_field.csv").read_bytes()
-    assert cli.main(["field", "--config", fld, "--threads", "3"]) == 0
+    assert cli.main(["field", "--config", fld]) == 0
     assert (tmp_path / "fld_field.csv").read_bytes() == one
+
+
+def test_threads_option_is_a_usage_error(tmp_path):
+    cfg = _solve_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_solve_seed_override_matches_config_edit(tmp_path):
@@ -164,19 +169,6 @@ def test_solve_seed_override_matches_config_edit(tmp_path):
     bytes_a = (tmp_path / "a" / "run_estimates.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "run_estimates.csv").read_bytes()
     assert bytes_a == bytes_b
-    # field walks all its grid nodes in one wavefront; three threads split it
-    fld = _cfg(
-        tmp_path,
-        name="fld.json",
-        case={"name": "disk_inverse_cubic", "alpha": 1.5},
-        points={"type": "grid", "resolution": 5, "margin": 0.1},
-        walk={"num_paths": 300, "seed": 4},
-        output=str(tmp_path / "fld"),
-    )
-    assert cli.main(["field", "--config", fld]) == 0
-    one = (tmp_path / "fld_field.csv").read_bytes()
-    assert cli.main(["field", "--config", fld, "--threads", "3"]) == 0
-    assert (tmp_path / "fld_field.csv").read_bytes() == one
     # and it actually changed something relative to seed 0
     plain = _solve_cfg(tmp_path, name="c.json", out="c/run")
     assert cli.main(["solve", "--config", plain]) == 0

@@ -11,15 +11,15 @@ with zero Monte Carlo noise.
 import dataclasses
 import functools
 import math
-import sys
-import threading
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwos import engine
 from fracwos.engine import (
     Estimate,
     ProblemSpec,
@@ -113,9 +113,9 @@ def test_estimate_invariant_under_chunking_and_threads():
     k = make_constants(2, 1.2)
     x0 = np.array([0.4, -0.3])
     base = estimate_point(prob, cfg, k, x0)
-    small_chunks = estimate_point(prob, cfg, k, x0, chunk_paths=7)
-    threaded = estimate_point(prob, cfg, k, x0, threads=3, chunk_paths=64)
-    for other in (small_chunks, threaded):
+    for width in (7, 64):
+        with patch.object(engine, "_WAVEFRONT", width):
+            other = estimate_point(prob, cfg, k, x0)
         assert other.mean == base.mean
         assert other.variance == base.variance
         assert other.stderr == base.stderr
@@ -142,7 +142,8 @@ def _bounded_exterior(pts):
     return 1.0 / (1.0 + np.sum(pts * pts, axis=1))
 
 
-# (domain, n, alpha, with source, start point, num_paths, chunk_paths)
+# (domain, n, alpha, with source, start point, num_paths, wavefront width;
+# None walks all paths in one wavefront)
 _GOLDEN_CASES = {
     "disk_a0.3": (BallDomain(np.zeros(2), 1.0), 2, 0.3, True, [0.3, -0.2], 256, None),
     "disk_a1.0": (BallDomain(np.zeros(2), 1.0), 2, 1.0, True, [0.3, -0.2], 256, None),
@@ -191,7 +192,7 @@ _GOLDEN_ZETA = {
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
 def test_golden_stream(name):
-    dom, n, alpha, with_f, x0, num_paths, chunk = _GOLDEN_CASES[name]
+    dom, n, alpha, with_f, x0, num_paths, width = _GOLDEN_CASES[name]
     prob = ProblemSpec(
         n=n,
         alpha=alpha,
@@ -204,7 +205,8 @@ def test_golden_stream(name):
     if (n, alpha) in _GOLDEN_ZETA:
         k = dataclasses.replace(k, zeta_unit=float.fromhex(_GOLDEN_ZETA[(n, alpha)]))
     x0 = np.array(x0, dtype=float)
-    est = estimate_point(prob, cfg, k, x0, chunk_paths=chunk or num_paths)
+    with patch.object(engine, "_WAVEFRONT", width or num_paths):
+        est = estimate_point(prob, cfg, k, x0)
     path = run_path(prob, cfg, k, x0, 17)
     got = (
         est.mean.hex(),
@@ -235,7 +237,8 @@ def _replay_base():
 @settings(max_examples=10, deadline=None)
 @given(chunk=st.integers(1, _REPLAY_N), i=st.integers(0, _REPLAY_N - 1))
 def test_replay_under_any_chunking(chunk, i):
-    est = estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, chunk_paths=chunk)
+    with patch.object(engine, "_WAVEFRONT", chunk):
+        est = estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0)
     assert est == _replay_base()
     # path i alone equals path i inside a wavefront of width chunk over its chunk
     a = i - i % chunk
@@ -262,8 +265,6 @@ def test_duplicate_points_reproduce_identical_estimates():
     swapped = estimate_field(prob, cfg, k, [q, p])
     assert swapped[1] == ests[0]
     assert swapped[0] == ests[1]
-    threaded = estimate_field(prob, cfg, k, [p, q, p], threads=2)
-    assert threaded == ests
 
 
 # estimate_field's wavefront: the same Estimates, bit for bit, for any width,
@@ -292,29 +293,9 @@ def _field_base():
 def test_field_is_the_same_under_any_width_and_point_order(order, dup, data):
     idx = list(order) + [dup]
     width = data.draw(st.integers(1, _FIELD_N * len(idx)), label="width")
-    ests = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, _FIELD_PTS[idx],
-                          chunk_paths=width)
+    with patch.object(engine, "_WAVEFRONT", width):
+        ests = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, _FIELD_PTS[idx])
     assert [_bits(e) for e in ests] == [_field_base()[j] for j in idx]
-
-
-def test_threaded_field_under_frequent_thread_switches():
-    # four spans on two cores, switching threads every microsecond: a lost
-    # update to a point's landing slot would leave the point unreduced or
-    # change its bits; the spans split points between threads
-    pts = _FIELD_PTS[[0, 1, 2, 0, 2]]
-    base = estimate_field(_FIELD_PROB, _FIELD_CFG, _FIELD_K, pts, chunk_paths=5)
-    result = []
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(target=lambda: result.append(estimate_field(
-            _FIELD_PROB, _FIELD_CFG, _FIELD_K, pts, threads=4, chunk_paths=5)))
-        worker.start()
-        worker.join(timeout=300)
-    finally:
-        sys.setswitchinterval(old)
-    assert not worker.is_alive()
-    assert [_bits(e) for e in result[0]] == [_bits(e) for e in base]
 
 
 # ---------------------------------------------------------------------------

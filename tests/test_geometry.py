@@ -56,6 +56,27 @@ def test_projection_distance_consistency(dom):
 
 
 @pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(1e-3, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_projection_properties_at_drawn_points(dom, seed, t):
+    # drawn interior points x, and x_t = p + t (x - p) on the segment to
+    # their projection p: x_t lies in the open ball B(x, d), so inside the
+    # domain, at distance t d from the boundary
+    pts = dom.random_interior(16, seed=seed)
+    pts = np.concatenate([pts, dom.project_boundary(pts) * (1.0 - t) + pts * t])
+    assert np.all(dom.contains(pts))
+    d = dom.dist_boundary(pts)
+    assert np.all(d > 0)
+    proj = dom.project_boundary(pts)
+    assert np.max(np.abs(np.linalg.norm(pts - proj, axis=1) - d)) <= 1e-9
+    # on the boundary up to rounding: outside, or within 1e-9 of it; one row
+    # per call, because the hexagon's membership test rounds differently
+    # in batches of different sizes
+    for p in proj:
+        assert not dom.contains(p) or dom.dist_boundary(p) <= 1e-9
+
+
+@pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
 def test_bounding_box_contains_domain(dom):
     lo, hi = dom.bounding_box()
     pts = dom.random_interior(200, seed=11)
