@@ -125,7 +125,9 @@ def _segment_distance(pts, a, b):
     b = np.asarray(b, dtype=float)
     ab = b - a
     denom = float(ab @ ab)
-    t = ((pts - a) @ ab) / denom
+    # column by column, not a matrix product, so that a point's bits do not
+    # depend on the batch (see HexagonDomain._max_support)
+    t = ((pts[:, 0] - a[0]) * ab[0] + (pts[:, 1] - a[1]) * ab[1]) / denom
     t = np.clip(t, 0.0, 1.0)
     foot = a + t[:, None] * ab
     d = np.linalg.norm(pts - foot, axis=1)
@@ -317,15 +319,24 @@ class HexagonDomain(Domain):
             [np.cos(vang), np.sin(vang)], axis=1
         )
 
-    def _support(self, pts):
-        return (pts - self.center[None, :]) @ self._normals.T  # (m, 6)
+    def _max_support(self, pts):
+        # the largest of the six (x - center) . normal, column by column: a
+        # matrix product sums in an order that depends on the row count, and
+        # a point's bits must not
+        x = pts[:, 0] - self.center[0]
+        y = pts[:, 1] - self.center[1]
+        (nx, ny), *rest = self._normals
+        s = x * nx + y * ny
+        for nx, ny in rest:
+            np.maximum(s, x * nx + y * ny, out=s)
+        return s
 
     def _contains(self, pts):
-        return np.all(self._support(pts) < self.inradius, axis=1)
+        return self._max_support(pts) < self.inradius
 
     def _dist(self, pts):
         # interior distance to a convex polygon is the minimal edge-line gap
-        return self.inradius - self._support(pts).max(axis=1)
+        return self.inradius - self._max_support(pts)
 
     def _project(self, pts):
         # segment projection stays correct for exterior queries too, where the

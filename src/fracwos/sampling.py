@@ -19,7 +19,16 @@ duplicate points bit-identical.
   ball, gamma = r * x^(-1/2) with x = I^(-1)(u; alpha/2, 1-alpha/2).  (The
   jump CDF is F(gamma) = 1 - I_{r^2/gamma^2}(alpha/2, 1-alpha/2); inverting
   the complement with u uniform is equivalent because 1-u is also uniform.
-  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)
+  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)  At alpha = 1
+  the inverse is scipy's betaincinv (the arcsine law, which scipy inverts
+  fast).  At alpha != 1 it comes from a per-alpha table (Devroye 1986,
+  ch. II), built on first use and cached: with a = alpha/2, b = 1 - a and
+  u* = I_{1/2}(a, b), it holds x for u <= u* and 1 - x above, whichever is
+  <= 1/2, each as w * G(w) where w = (u a B(a, b))^(1/a) (resp. 1 - u, b)
+  is the leading power law of that tail and G a Chebyshev polynomial in
+  w.  The build checks the table against betaincinv between its nodes and
+  over the whole u range, and raises RuntimeError if the relative error of
+  gamma exceeds _EXIT_TABLE_TOL = 1e-11.
 * ``interior_accept_prob`` - the acceptance probability of the interior
   (source) radius.  Its radial density s^(alpha-1) w(s) / Z on (0, 1) is
   sampled by rejection from the proposal alpha * s^(alpha-1) (s = U^(1/alpha))
@@ -34,10 +43,13 @@ duplicate points bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 
 import numpy as np
 import scipy.special as sc
+from numpy.polynomial import chebyshev
 
 __all__ = [
     "StreamBatch",
@@ -75,6 +87,13 @@ _TILE_BLOCKS = 8192
 # infinity; clamping keeps the point finite (|jump| <= r * 1e150) without
 # measurably distorting the law.
 _MIN_INV_BETA = 1e-300
+
+# The exit-law table at alpha != 1: the degree of its Chebyshev polynomial
+# on each side of u*, and the largest relative error of gamma against
+# betaincinv that its build accepts.  Degree 14 fits G to about 1e-13 over
+# the whole alpha range, where rounding in log and exp sets the floor.
+_EXIT_TABLE_DEGREE = 14
+_EXIT_TABLE_TOL = 1e-11
 
 
 def _tiles(shape):
@@ -170,10 +189,14 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
 
 
 def _store_unit_open(dst, words):
-    """Write uint64 words as float64 uniforms on the open interval (0, 1)."""
+    """Write uint64 words as float64 uniforms on the open interval (0, 1).
+
+    k = w >> 11 maps to (k + 1/2) 2^-53; the top k = 2^53 - 1 ties halfway
+    between 1 - 2^-53 and 1 and would round to 1, so it is held at 1 - 2^-53."""
     np.right_shift(words, _SH11, out=words)
     np.multiply(words, 0.5**53, out=dst)
     dst += 0.5**54
+    np.minimum(dst, 1.0 - 0.5**53, out=dst)
 
 
 class StreamBatch:
@@ -229,11 +252,92 @@ def box_muller(u, m: int):
     return z[:, :m]
 
 
+def _exit_side(side, v):
+    """y = w G(w) on one side of an exit table, at tail probabilities v."""
+    e, log_eb, scale, coef = side
+    w = np.exp((np.log(v) + log_eb) / e)
+    z = w * scale - 1.0
+    g = np.full(z.shape, coef[-1])
+    for c in coef[-2::-1]:
+        g *= z
+        g += c
+    return w * g
+
+
+def _exit_inverse(table, u):
+    """x = I^(-1)(u; a, b) from an exit table: x = w G(w) for u <= u*, and
+    1 - x = w G(w) at tail probability 1 - u above it."""
+    u = np.asarray(u, dtype=float)
+    ustar, sides = table
+    x = np.empty(u.shape)
+    lower = u <= ustar
+    upper = ~lower
+    x[lower] = _exit_side(sides[0], u[lower])
+    x[upper] = 1.0 - _exit_side(sides[1], 1.0 - u[upper])
+    return x
+
+
+def _exit_gamma(x):
+    """gamma / r for a Beta quantile x, clamped as the walk clamps it."""
+    return 1.0 / np.sqrt(np.maximum(x, _MIN_INV_BETA))
+
+
+@functools.lru_cache(maxsize=64)
+def _exit_table(alpha: float):
+    """The certified inverse of the exit law at alpha != 1, built on first use.
+
+    With a = alpha/2, b = 1 - a, I^(-1)(v; e, f) for (e, f) = (a, b) on
+    v = u <= u* and (b, a) on v = 1 - u < 1 - u* is its leading power law
+    w = (v e B)^(1/e) times G(w), analytic in w, interpolated at the
+    Chebyshev nodes of w in [0, w(u*)].  The table is checked against
+    betaincinv between its nodes and on a log-spaced sweep of u and 1 - u
+    down to the generator's 2^-54 and 2^-53; RuntimeError if gamma is off by
+    more than _EXIT_TABLE_TOL relative anywhere."""
+    a = alpha / 2.0
+    b = 1.0 - a
+    ustar = float(sc.betainc(a, b, 0.5))
+    sides = []
+    for e, f, vstar in ((a, b, ustar), (b, a, 1.0 - ustar)):
+        log_eb = math.log(math.pi * e / math.sin(math.pi * e))  # log(e B(e, f))
+        wmax = math.exp((math.log(vstar) + log_eb) / e)
+
+        def g_at(z, e=e, f=f, log_eb=log_eb, wmax=wmax):
+            w = (z + 1.0) * (wmax / 2.0)
+            return sc.betaincinv(e, f, np.exp(e * np.log(w) - log_eb)) / w
+
+        coef = chebyshev.cheb2poly(chebyshev.chebinterpolate(g_at, _EXIT_TABLE_DEGREE))
+        coef.flags.writeable = False
+        sides.append((e, log_eb, 2.0 / wmax, coef))
+    table = (ustar, tuple(sides))
+
+    # between the nodes (down to, not at, w = 0) and the sweep, both sides
+    d = _EXIT_TABLE_DEGREE + 1
+    z = np.cos(np.pi * np.arange(4 * d) / (4 * d))
+    v = [np.exp(e * np.log((z + 1.0) / scale) - log_eb) for e, log_eb, scale, _ in sides]
+    u = np.concatenate([
+        v[0], 1.0 - v[1],
+        np.geomspace(0.5**54, ustar, 64), 1.0 - np.geomspace(0.5**53, 1.0 - ustar, 64),
+    ])
+    ref = _exit_gamma(sc.betaincinv(a, b, u))
+    err = float(np.max(np.abs(_exit_gamma(_exit_inverse(table, u)) / ref - 1.0)))
+    if not err <= _EXIT_TABLE_TOL:
+        raise RuntimeError(
+            f"the exit table at alpha={alpha} is off betaincinv by {err:.3g} "
+            f"relative in gamma, over the tolerance {_EXIT_TABLE_TOL:g}"
+        )
+    return table
+
+
 def exit_radius_from_uniform(r, alpha: float, u):
-    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts."""
-    x = sc.betaincinv(alpha / 2.0, 1.0 - alpha / 2.0, u)
-    x = np.maximum(x, _MIN_INV_BETA)
-    return r / np.sqrt(x)
+    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts.
+
+    x = I^(-1)(u; alpha/2, 1-alpha/2) is scipy's betaincinv at alpha = 1 and
+    the certified table (_exit_table) at alpha != 1."""
+    if alpha == 1.0:
+        x = sc.betaincinv(0.5, 0.5, u)
+    else:
+        x = _exit_inverse(_exit_table(float(alpha)), u)
+    return r / np.sqrt(np.maximum(x, _MIN_INV_BETA))
 
 
 def interior_accept_prob(s, n, alpha):

@@ -300,7 +300,7 @@ def test_criterion_09_shell_bias_rate():
 def test_criterion_10_special_function_accuracy():
     """Beta round trips to 1e-10 and hypergeometrics against 60-digit
     references.  The inverse is scipy's betaincinv, which the exit-radius
-    transform calls.
+    transform calls at alpha = 1 and checks its table against elsewhere.
 
     The round trip is measured in the value domain, started from an
     abscissa: u = I_x(a,b), x' = I^(-1)(u), |I_(x')(a,b) - u| <= 1e-10.

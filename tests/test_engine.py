@@ -14,12 +14,13 @@ import math
 import warnings
 from unittest.mock import patch
 
+import exit_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwos import engine
+from fracwos import engine, sampling
 from fracwos.engine import (
     Estimate,
     ProblemSpec,
@@ -33,7 +34,7 @@ from fracwos.engine import (
     run_path,
     step_bound,
 )
-from fracwos.geometry import BallDomain, LShapeDomain
+from fracwos.geometry import BallDomain, HexagonDomain, LShapeDomain
 from fracwos.kernels import make_constants
 
 
@@ -190,8 +191,7 @@ _GOLDEN_ZETA = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
-def test_golden_stream(name):
+def _golden_run(name):
     dom, n, alpha, with_f, x0, num_paths, width = _GOLDEN_CASES[name]
     prob = ProblemSpec(
         n=n,
@@ -208,14 +208,30 @@ def test_golden_stream(name):
     with patch.object(engine, "_WAVEFRONT", width or num_paths):
         est = estimate_point(prob, cfg, k, x0)
     path = run_path(prob, cfg, k, x0, 17)
-    got = (
+    return (
         est.mean.hex(),
         est.variance.hex(),
         est.mean_steps.hex(),
         path.score.hex(),
         path.steps,
     )
-    assert got == _GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+def test_golden_stream(name):
+    # the values were recorded with betaincinv as the exit inverse at every
+    # alpha: with it patched back in they are pinned byte for byte
+    with patch.object(sampling, "exit_radius_from_uniform",
+                      exit_reference.exit_radius_from_uniform):
+        assert _golden_run(name) == _GOLDEN[name]
+    # the tabulated inverse at alpha != 1 reads the same uniforms, so every
+    # step count stays and the scores move by the table's error only
+    mean, var, steps, score, path_steps = _golden_run(name)
+    want = _GOLDEN[name]
+    assert (steps, path_steps) == (want[2], want[4])
+    for got, ref in ((mean, want[0]), (var, want[1]), (score, want[3])):
+        got, ref = float.fromhex(got), float.fromhex(ref)
+        assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
 
 
 # the replay contract on the disk at alpha = 1.9 with a source, where most
@@ -250,6 +266,33 @@ def test_replay_under_any_chunking(chunk, i):
     path = run_path(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, i)
     assert path.score == scores[at]
     assert path.steps == steps[at]
+
+
+def test_hexagon_paths_replay_at_any_width():
+    # the hexagon's queries are element-wise, so its paths are the same bits
+    # alone (run_path), in a wavefront of 7 rows and in one of 16384
+    prob = ProblemSpec(n=2, alpha=1.5, f=_poly_source, g=_bounded_exterior,
+                       domain=HexagonDomain(1.0))
+    cfg = WalkConfig(epsilon=1e-4, num_paths=400, seed=5)
+    k = make_constants(2, 1.5)
+    x0 = np.array([0.3, 0.1])
+    walks = []
+    for width in (1, 7, 16384):
+        landed = []
+        _walk(prob, cfg, k, x0[None, :], (0, cfg.num_paths), width,
+              lambda *batch: landed.append(batch[:3]))
+        pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
+        order = np.argsort(pairs)
+        walks.append((scores[order].tobytes(), steps[order]))
+    scores, steps = walks[0]
+    assert all(w[0] == scores and np.array_equal(w[1], steps) for w in walks[1:])
+    scores = np.frombuffer(scores)
+    for i in (0, 17, 399):
+        path = run_path(prob, cfg, k, x0, i)
+        assert (path.score, path.steps) == (scores[i], steps[i])
+    with patch.object(engine, "_WAVEFRONT", 7):
+        narrow = estimate_point(prob, cfg, k, x0)
+    assert narrow == estimate_point(prob, cfg, k, x0)
 
 
 def test_duplicate_points_reproduce_identical_estimates():

@@ -69,11 +69,30 @@ def test_projection_properties_at_drawn_points(dom, seed, t):
     assert np.all(d > 0)
     proj = dom.project_boundary(pts)
     assert np.max(np.abs(np.linalg.norm(pts - proj, axis=1) - d)) <= 1e-9
-    # on the boundary up to rounding: outside, or within 1e-9 of it; one row
-    # per call, because the hexagon's membership test rounds differently
-    # in batches of different sizes
-    for p in proj:
-        assert not dom.contains(p) or dom.dist_boundary(p) <= 1e-9
+    # on the boundary up to rounding: outside, or within 1e-9 of it
+    inside = dom.contains(proj)
+    if np.any(inside):
+        assert np.max(dom.dist_boundary(proj[inside])) <= 1e-9
+
+
+@pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
+def test_queries_do_not_depend_on_the_batch(dom):
+    # a point's membership, distance and projection are the same bits in a
+    # batch of any size, which the walk's replay at any wavefront width needs
+    lo, hi = dom.bounding_box()
+    pts = np.random.default_rng(4).uniform(lo - 0.1, hi + 0.1, size=(20000, dom.n))
+    inside = dom.contains(pts)
+    dist = np.full(pts.shape[0], np.nan)
+    dist[inside] = dom.dist_boundary(pts[inside])
+    proj = dom.project_boundary(pts)
+    for size in (1, 2, 3, 7, 16, 100):
+        for a in range(0, 700, size):
+            rows = slice(a, a + size)
+            assert np.array_equal(dom.contains(pts[rows]), inside[rows])
+            assert np.array_equal(dom.project_boundary(pts[rows]), proj[rows])
+            ins = inside[rows]
+            if np.any(ins):
+                assert np.array_equal(dom.dist_boundary(pts[rows][ins]), dist[rows][ins])
 
 
 @pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))

@@ -7,17 +7,28 @@ exit_radius_from_uniform and engine._batch_interior_radii) at moderate
 sample sizes; the full 1e5-draw KS battery lives in the acceptance suite.
 """
 
+from unittest.mock import patch
+
+import exit_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 from zeta_reference import gauss_jacobi_rule
 
-from fracwos import kernels
-from fracwos.engine import _batch_interior_radii, _interior_squeeze, _unit_rows
+from fracwos import kernels, sampling
+from fracwos.engine import (
+    _SQUEEZE_CELLS,
+    _batch_interior_radii,
+    _interior_squeeze,
+    _unit_rows,
+)
 from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
     StreamBatch,
+    _store_unit_open,
     box_muller,
     exit_radius_from_uniform,
     interior_accept_prob,
@@ -210,6 +221,19 @@ def test_uniforms_live_in_the_open_interval():
     assert np.all((u > 0.0) & (u < 1.0))
 
 
+def test_uniforms_never_round_to_one():
+    # the top 53-bit word ties halfway between 1 - 2^-53 and 1
+    words = np.array([2**64 - 1, 2**64 - 2**11, 0], dtype=np.uint64)
+    u = np.empty(3)
+    _store_unit_open(u, words)
+    assert u[0] == u[1] == 1.0 - 0.5**53
+    assert u[2] == 0.5**54
+    # so the largest uniform stays in the last squeeze cell, and its
+    # Box-Muller radius is not 0 (an n = 2 direction of 0/0)
+    assert int(u[0] * _SQUEEZE_CELLS) == _SQUEEZE_CELLS - 1
+    assert np.all(np.isfinite(_unit_rows(box_muller(u[None, :2], 2))))
+
+
 def test_batch_addressing_matches_single_streams():
     # a path draws the same numbers whether it runs alone or in a batch,
     # and no matter which other paths are addressed alongside it
@@ -352,6 +376,35 @@ def test_sample_exit_point_radial_law():
     k = np.arange(1, 2001)
     d = max(np.max(k / 2000 - u), np.max(u - (k - 1) / 2000))
     assert d < _KS_1PCT / np.sqrt(2000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.05, 1.95),
+    r=st.floats(1e-3, 1e3),
+    k=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64),
+)
+def test_exit_table_against_betaincinv(alpha, r, k):
+    # uniforms of the generator's lattice, its two ends, and two far below
+    # it where the 1e-300 clamp on x holds
+    u = np.empty(len(k))
+    _store_unit_open(u, np.array(k, dtype=np.uint64) << np.uint64(11))
+    u = np.sort(np.concatenate([u, [0.5**54, 1.0 - 0.5**53, 1e-280, 1e-320]]))
+    got = exit_radius_from_uniform(r, alpha, u)
+    ref = exit_reference.exit_radius_from_uniform(r, alpha, u)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-11
+    assert np.all(np.diff(got) <= 0.0)  # gamma does not increase with u
+    # x rounds to 1 near u = 1 (betaincinv's too), and then gamma = r
+    assert np.all((got >= r) & (got <= r * 1.000001e150))
+    # alpha = 1 is betaincinv itself
+    one = exit_radius_from_uniform(r, 1.0, u)
+    assert one.tobytes() == exit_reference.exit_radius_from_uniform(r, 1.0, u).tobytes()
+
+
+def test_exit_table_build_checks_its_tolerance():
+    with patch.object(sampling, "_EXIT_TABLE_TOL", 1e-18):
+        with pytest.raises(RuntimeError, match="exit table"):
+            sampling._exit_table.__wrapped__(0.7)
 
 
 # ---------------------------------------------------------------------------
