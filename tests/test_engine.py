@@ -283,10 +283,10 @@ def test_hexagon_paths_replay_at_any_width():
               lambda *batch: landed.append(batch[:3]))
         pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
         order = np.argsort(pairs)
-        walks.append((scores[order].tobytes(), steps[order]))
+        walks.append((scores[order], steps[order]))
     scores, steps = walks[0]
-    assert all(w[0] == scores and np.array_equal(w[1], steps) for w in walks[1:])
-    scores = np.frombuffer(scores)
+    for other in walks[1:]:
+        assert np.array_equal(other[0], scores) and np.array_equal(other[1], steps)
     for i in (0, 17, 399):
         path = run_path(prob, cfg, k, x0, i)
         assert (path.score, path.steps) == (scores[i], steps[i])
