@@ -59,7 +59,14 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .engine import WalkConfig, check_starts, error_metric, estimate_field, step_bound
+from .engine import (
+    ConstantField,
+    WalkConfig,
+    check_starts,
+    error_metric,
+    estimate_field,
+    step_bound,
+)
 from .geometry import (
     AnnulusDomain,
     BallDomain,
@@ -76,11 +83,21 @@ def _fmt(v) -> str:
 
 
 def _as_int(value, key):
-    """int(value), or a ValueError that names the config key."""
-    try:
+    """value as an int: a JSON integer or an integral number such as 1e3.
+    Anything else (a bool, a string, 2.5) is a ValueError naming the key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _as_float(value, key):
+    """value as a float: a JSON number.  Anything else (a bool, a string)
+    is a ValueError naming the key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _require_keys(d, where, required, optional=()):
@@ -129,12 +146,11 @@ def _builtin_field(name, n: int, alpha: float):
     if name is None or name == "none":
         return None
     if name == "zero":
-        return lambda x: np.zeros(np.atleast_2d(x).shape[0])
+        return ConstantField(0.0)
     if name == "one":
-        return lambda x: np.ones(np.atleast_2d(x).shape[0])
+        return ConstantField(1.0)
     if name == "constant_source":
-        c = constant_source(n, alpha)
-        return lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c)
+        return ConstantField(constant_source(n, alpha))
     if name == "gaussian":
         return lambda x: np.exp(-np.sum(np.atleast_2d(x) ** 2, axis=1))
     if name == "inverse_cubic":
@@ -149,11 +165,12 @@ def _parse_case(spec):
     if isinstance(spec, dict) and "name" in spec:
         _require_keys(spec, "case", ["name"], ["alpha"])
         return {"kind": "named", "name": spec["name"],
-                "alpha": float(spec.get("alpha", 1.0))}
+                "alpha": _as_float(spec.get("alpha", 1.0), "case.alpha")}
     if isinstance(spec, dict):
         _require_keys(spec, "case", ["domain", "n", "alpha", "g"], ["f"])
         return {"kind": "inline", "domain": _build_domain(spec["domain"]),
-                "n": _as_int(spec["n"], "case.n"), "alpha": float(spec["alpha"]),
+                "n": _as_int(spec["n"], "case.n"),
+                "alpha": _as_float(spec["alpha"], "case.alpha"),
                 "f": spec.get("f", "none"), "g": spec["g"]}
     raise ValueError("case must be a name or an object")
 
@@ -216,18 +233,19 @@ def _parse_walk(spec, seed_override=None, need_paths=True):
     if need_paths and "num_paths" not in spec:
         raise ValueError("walk.num_paths is required for this command")
     return WalkConfig(
-        epsilon=float(spec.get("epsilon", 1e-6)),
-        num_paths=int(spec.get("num_paths", 1)),
-        seed=int(seed_override if seed_override is not None else spec.get("seed", 0)),
-        max_steps=int(spec.get("max_steps", 1_000_000)),
+        epsilon=_as_float(spec.get("epsilon", 1e-6), "walk.epsilon"),
+        num_paths=_as_int(spec.get("num_paths", 1), "walk.num_paths"),
+        seed=(seed_override if seed_override is not None
+              else _as_int(spec.get("seed", 0), "walk.seed")),
+        max_steps=_as_int(spec.get("max_steps", 1_000_000), "walk.max_steps"),
     )
 
 
 def _alphas(raw, parsed_case):
-    alphas = [float(a) for a in raw.get("alphas", [parsed_case["alpha"]])]
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    return alphas
+    alphas = raw.get("alphas", [parsed_case["alpha"]])
+    if not isinstance(alphas, list) or not alphas:
+        raise ValueError("alphas must be a nonempty list")
+    return [_as_float(a, "alphas") for a in alphas]
 
 
 def _load_config(path, command):
@@ -318,9 +336,10 @@ def cmd_convergence(raw, seed_override=None):
     t0 = time.perf_counter()
     parsed_case = _parse_case(raw["case"])
     alphas = _alphas(raw, parsed_case)
-    ladder = [int(N) for N in raw["path_ladder"]]
-    if not ladder:
+    ladder = raw["path_ladder"]
+    if not isinstance(ladder, list) or not ladder:
         raise ValueError("path_ladder must be a nonempty list of path counts")
+    ladder = [_as_int(N, "path_ladder") for N in ladder]
     walk0 = _parse_walk(raw.get("walk"), seed_override, need_paths=False)
     walks = [dataclasses.replace(walk0, num_paths=N) for N in ladder]
 

@@ -28,6 +28,11 @@ of the proposal uniform, and against the exact acceptance probability
 (a betainc) only when it falls between them; the bounds are padded so that
 both routes decide alike, so the draw order and the counter positions are
 those of the exact test.
+With a constant source (ConstantField) the step reads no Y: its term is
+r_k^alpha * zeta_unit * value.  Draw 1 still runs, because its block count
+places draws 3-4, but block 2 is skipped: the counter moves past it without
+generating it, and the Philox call draws 3-4 only.  So the stream, and every
+result bit, is that of any other field returning the same constant.
 The walk is one wavefront of rows (_walk).  Each row holds one (point,
 path) pair, with the pair's own stream id and substream, and the pairs are
 issued in the flat order k = p * num_paths + i.  A row whose path ends
@@ -55,6 +60,7 @@ from .geometry import Domain
 from .kernels import KernelConstants, _check_alpha
 
 __all__ = [
+    "ConstantField",
     "ProblemSpec",
     "WalkConfig",
     "PathRealization",
@@ -81,6 +87,23 @@ class StepCapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
+class ConstantField:
+    """The batch field x -> value: f(pts) returns an (m,) array of value.
+
+    Any caller can use it as a plain field.  As the source of a walk it lets
+    the walk skip the interior sample, whose value nothing reads, with the
+    result bits of any other field returning the same array."""
+
+    value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+
+    def __call__(self, pts):
+        return np.full(np.atleast_2d(pts).shape[0], self.value)
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """The problem: exponent alpha, source f on the domain, exterior data g.
 
@@ -88,7 +111,8 @@ class ProblemSpec:
     returns an (m,) array of values.  f is evaluated in the domain (None
     means f == 0); g is evaluated on the complement, boundary included, and
     must be evaluable arbitrarily far out because the jump law is
-    heavy-tailed.
+    heavy-tailed.  A ConstantField source spares the walk its interior
+    sample, with the same result bits (see the module docstring).
     """
 
     n: int
@@ -254,7 +278,10 @@ def _walk(problem, config, constants, starts, span, width, land):
     n, alpha = problem.n, problem.alpha
     N = config.num_paths
     zeta_unit = constants.zeta_unit
-    f = _FieldEval(problem.f) if problem.f is not None else None
+    source = problem.f is not None  # draw 1 runs
+    # a constant source is never called: f stays None and draw 2 is skipped
+    constant = isinstance(problem.f, ConstantField)
+    f = _FieldEval(problem.f) if source and not constant else None
     g = _FieldEval(problem.g)
 
     # words of the fixed draws 2-4, one Philox call per step: a direction's
@@ -305,8 +332,11 @@ def _walk(problem, config, constants, starts, span, width, land):
         xa = x[li]
         r = r_all[li]
 
-        if f is not None:
+        if source:
             s = _batch_interior_radii(batch, li, n, alpha)
+        if constant:
+            batch.position[li] += np.uint64(dir_words // 4)
+            acc[li] += (r**alpha) * zeta_unit * problem.f.value
         u = batch.uniforms(li, exit_word + 4)
         if f is not None:
             ydir = _unit_rows(sampling.box_muller(u, n))

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special as sc
 
-from .engine import ProblemSpec, _FieldEval
+from .engine import ConstantField, ProblemSpec, _FieldEval
 from .geometry import (
     AnnulusDomain,
     BallDomain,
@@ -237,8 +237,7 @@ def _r2(x):
     return np.sum(x * x, axis=1)
 
 
-def _zeros(x):
-    return np.zeros(np.atleast_2d(x).shape[0])
+_ZERO = ConstantField(0.0)
 
 
 def _signed_power(base, p: float):
@@ -273,8 +272,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         c = constant_source(2, alpha)
         return ExactCase(
             name, 2, alpha, BallDomain(np.zeros(2), 1.0),
-            lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c),
-            _zeros, _bump_power(alpha),
+            ConstantField(c), _ZERO, _bump_power(alpha),
         )
     if name == "disk_inverse_cubic":
         # u(x) = (1 + |x|^2)^(-3/2) globally; the source on the disk is
@@ -294,8 +292,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         c = constant_source(10, alpha)
         return ExactCase(
             name, 10, alpha, BallDomain(np.zeros(10), 1.0),
-            lambda x, c=c: np.full(np.atleast_2d(x).shape[0], c),
-            _zeros, _bump_power(alpha),
+            ConstantField(c), _ZERO, _bump_power(alpha),
         )
     if name == "lshape_gaussian":
         # u(x) = exp(-|x|^2) manufactured on the L-shaped domain
@@ -323,7 +320,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
             return amp * osc * np.cos(-_r2(x))
 
         return ExactCase(
-            name, 2, alpha, BoxDomain([-5.0, -0.5], [5.0, 0.5]), f, _zeros, None
+            name, 2, alpha, BoxDomain([-5.0, -0.5], [5.0, 0.5]), f, _ZERO, None
         )
     if name == "hexagon_oscillatory":
         # qualitative: regular hexagon inscribed in [-1,1]^2, g = 0
@@ -338,7 +335,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
                 - (alpha * x[:, 0] * x[:, 1]) ** 3
             )
 
-        return ExactCase(name, 2, alpha, HexagonDomain(1.0), f, _zeros, None)
+        return ExactCase(name, 2, alpha, HexagonDomain(1.0), f, _ZERO, None)
     if name == "annulus_oscillatory":
         # qualitative: annulus 0.3 < |x|^2 < 1, g = 0
         def f(x):
@@ -347,7 +344,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
             return np.cos(x2 * x2 - 2.0 * x1 * x2) - np.sin(x1 * x1 + 2.0 * x1 * x2)
 
         return ExactCase(
-            name, 2, alpha, AnnulusDomain(math.sqrt(0.3), 1.0), f, _zeros, None
+            name, 2, alpha, AnnulusDomain(math.sqrt(0.3), 1.0), f, _ZERO, None
         )
     raise KeyError(f"unknown case name: {name}")
 

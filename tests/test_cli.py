@@ -582,3 +582,46 @@ def test_negative_points_seed_names_the_key(tmp_path, capsys):
     cfg = _solve_cfg(tmp_path, points={"type": "random", "count": 2, "seed": -1})
     assert cli.main(["solve", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error: points.seed: ")
+
+
+_WALK = {"epsilon": 1e-6, "num_paths": 200, "seed": 0}
+
+
+@pytest.mark.parametrize("command, over, key", [
+    ("solve", {"walk": {**_WALK, "num_paths": 2.5}}, "walk.num_paths"),
+    ("solve", {"walk": {**_WALK, "num_paths": True}}, "walk.num_paths"),
+    ("solve", {"walk": {**_WALK, "num_paths": "abc"}}, "walk.num_paths"),
+    ("solve", {"walk": {**_WALK, "seed": 1.5}}, "walk.seed"),
+    ("solve", {"walk": {**_WALK, "seed": "0"}}, "walk.seed"),
+    ("solve", {"walk": {**_WALK, "max_steps": False}}, "walk.max_steps"),
+    ("solve", {"walk": {**_WALK, "epsilon": "x"}}, "walk.epsilon"),
+    ("solve", {"walk": {**_WALK, "epsilon": True}}, "walk.epsilon"),
+    ("solve", {"points": {"type": "random", "count": 2.5}}, "points.count"),
+    ("solve", {"points": {"type": "random", "count": True}}, "points.count"),
+    ("solve", {"case": {"name": "disk_constant_source", "alpha": "1"}}, "case.alpha"),
+    ("convergence", {"path_ladder": [100, 2.5]}, "path_ladder"),
+    ("convergence", {"path_ladder": [100, True]}, "path_ladder"),
+    ("steps", {"alphas": [1.0, "x"]}, "alphas"),
+], ids=["num_paths_float", "num_paths_bool", "num_paths_string", "seed_float",
+        "seed_string", "max_steps_bool", "epsilon_string", "epsilon_bool",
+        "count_float", "count_bool", "alpha_string", "ladder_float", "ladder_bool",
+        "alphas_string"])
+def test_bad_numbers_name_their_key(tmp_path, capsys, command, over, key):
+    # a value that is not the number its key needs is refused, never
+    # truncated or read as 0 or 1, and the message names the key
+    cfg = _solve_cfg(tmp_path, **over)
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_integers(tmp_path):
+    # JSON 2e2 is the number 200.0: it is a path count like 200
+    csvs = []
+    for name, paths in (("int", 200), ("float", 2e2)):
+        cfg = _solve_cfg(tmp_path, out=f"{name}/run",
+                         walk={**_WALK, "num_paths": paths, "seed": 1.0})
+        assert cli.main(["solve", "--config", cfg]) == 0
+        csvs.append((tmp_path / name / "run_estimates.csv").read_bytes())
+    assert csvs[0] == csvs[1]

@@ -342,6 +342,89 @@ def test_field_is_the_same_under_any_width_and_point_order(order, dup, data):
 
 
 # ---------------------------------------------------------------------------
+# a ConstantField source skips the interior sample with the same result bits
+
+_CONST = 0.7312
+_CONST_N = 24
+# domain and start point; Y's direction fills ceil(n/4) blocks, 3 of them
+# in the 10-d ball
+_CONST_DOMAINS = {
+    "disk": (BallDomain(np.zeros(2), 1.0), [0.3, -0.2]),
+    "lshape": (LShapeDomain(), [-0.4, 0.5]),
+    "ball10": (BallDomain(np.zeros(10), 1.0), [0.3] + [0.0] * 9),
+    "ball3_off": (BallDomain(np.array([0.5, -0.25, 1.0]), 0.8), [0.7, -0.1, 1.2]),
+}
+
+
+def _plain_const(pts):
+    return np.full(len(pts), _CONST)
+
+
+def _path_bits(path):
+    return (path.score.hex(), path.steps, path.exit_point.tobytes(),
+            path.stopped_in_shell)
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 0.05])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("name", sorted(_CONST_DOMAINS))
+def test_constant_field_matches_a_plain_callable(name, alpha, epsilon):
+    dom, x0 = _CONST_DOMAINS[name]
+    x0 = np.array(x0)
+    k = make_constants(dom.n, alpha)
+    cfg = WalkConfig(epsilon=epsilon, num_paths=_CONST_N, seed=41)
+
+    def problem(f):
+        return ProblemSpec(n=dom.n, alpha=alpha, f=f, g=_bounded_exterior, domain=dom)
+
+    plain, const = problem(_plain_const), problem(engine.ConstantField(_CONST))
+    want = _bits(estimate_point(plain, cfg, k, x0))
+    for width in (1, 7, 16384):
+        with patch.object(engine, "_WAVEFRONT", width):
+            assert _bits(estimate_point(const, cfg, k, x0)) == want, width
+    for i in (0, 17, _CONST_N - 1):
+        assert (_path_bits(run_path(const, cfg, k, x0, i))
+                == _path_bits(run_path(plain, cfg, k, x0, i)))
+
+
+def test_constant_field_is_a_batch_field():
+    f = engine.ConstantField(2)
+    assert f.value == 2.0 and isinstance(f.value, float)
+    out = f(np.zeros((5, 3)))
+    assert out.dtype == np.float64 and np.array_equal(out, np.full(5, 2.0))
+    assert f(np.zeros(3)).shape == (1,)
+    assert f == engine.ConstantField(2.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.value = 3.0
+
+
+def _count_blocks(problem, cfg, k, x0):
+    """The estimate at x0 and the Philox blocks its walk generated."""
+    with patch.object(sampling.StreamBatch, "uniforms", autospec=True,
+                      side_effect=sampling.StreamBatch.uniforms) as uniforms:
+        est = estimate_point(problem, cfg, k, x0)
+    blocks = sum(len(idx) * -(-m // 4) for (_, idx, m), _ in uniforms.call_args_list)
+    return est, blocks
+
+
+def test_constant_field_generates_no_interior_direction():
+    # on the 10-d ball each step skips the ceil(10/4) = 3 blocks of Y's
+    # direction; the step counts and the estimate's bits do not move
+    n, alpha = 10, 1.2
+    k = make_constants(n, alpha)
+    cfg = WalkConfig(epsilon=1e-6, num_paths=2000, seed=3)
+    x0 = np.array([0.3] + [0.0] * 9)
+    plain = _ball_problem(n, alpha, f=_plain_const)
+    const = _ball_problem(n, alpha, f=engine.ConstantField(_CONST))
+    est_plain, blocks_plain = _count_blocks(plain, cfg, k, x0)
+    est_const, blocks_const = _count_blocks(const, cfg, k, x0)
+    assert _bits(est_const) == _bits(est_plain)
+    total_steps = round(est_plain.mean_steps * est_plain.n_paths)
+    assert total_steps > cfg.num_paths
+    assert blocks_plain - blocks_const == 3 * total_steps
+
+
+# ---------------------------------------------------------------------------
 # sanity on a known solution
 
 
