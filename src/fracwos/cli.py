@@ -100,6 +100,14 @@ def _as_float(value, key):
     raise ValueError(f"{key} must be a number, got {value!r}")
 
 
+def _as_floats(value, key):
+    """value as a list of floats: a JSON list of numbers, each as _as_float
+    takes it.  Anything else is a ValueError naming the key."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [_as_float(v, key) for v in value]
+
+
 def _require_keys(d, where, required, optional=()):
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be an object")
@@ -120,24 +128,25 @@ def _build_domain(spec):
     _require_keys(spec, "case.domain", ["type"], ["center", "radius", "lo", "hi",
                                                   "inner", "outer", "circumradius"])
     kind = spec["type"]
+    # every number of the domain, named by its key: center, lo and hi are lists
+    num = {k: (_as_floats if k in ("center", "lo", "hi") else _as_float)(v, "case.domain." + k)
+           for k, v in spec.items() if k != "type"}
     if kind == "ball":
         if "radius" not in spec or "center" not in spec:
             raise ValueError("ball domain needs center and radius")
-        return BallDomain(np.asarray(spec["center"], dtype=float), float(spec["radius"]))
+        return BallDomain(num["center"], num["radius"])
     if kind == "box":
         if "lo" not in spec or "hi" not in spec:
             raise ValueError("box domain needs lo and hi")
-        return BoxDomain(spec["lo"], spec["hi"])
+        return BoxDomain(num["lo"], num["hi"])
     if kind == "lshape":
         return LShapeDomain()
     if kind == "annulus":
         if "inner" not in spec or "outer" not in spec:
             raise ValueError("annulus domain needs inner and outer radii")
-        center = spec.get("center", (0.0, 0.0))
-        return AnnulusDomain(float(spec["inner"]), float(spec["outer"]), center)
+        return AnnulusDomain(num["inner"], num["outer"], num.get("center", (0.0, 0.0)))
     if kind == "hexagon":
-        return HexagonDomain(float(spec.get("circumradius", 1.0)),
-                             spec.get("center", (0.0, 0.0)))
+        return HexagonDomain(num.get("circumradius", 1.0), num.get("center", (0.0, 0.0)))
     raise ValueError(f"unknown domain type: {kind!r}")
 
 
@@ -221,7 +230,7 @@ def _points(spec, domain, epsilon: float) -> np.ndarray:
     if res**domain.n > 250_000:
         raise ValueError("grid resolution too fine for the dimension")
     lo, hi = domain.bounding_box()
-    m = float(spec.get("margin", 0.0))
+    m = _as_float(spec.get("margin", 0.0), "points.margin")
     axes = [np.linspace(lo[d] + m, hi[d] - m, res) for d in range(domain.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)

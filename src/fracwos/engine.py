@@ -349,7 +349,7 @@ def _walk(problem, config, constants, starts, span, width, land):
         xnew = xa + gamma[:, None] * theta
         steps[li] += 1
 
-        inside = dom.contains(xnew)
+        inside, d = dom._locate(xnew)
         out_idx = li[~inside]
         if out_idx.size:
             score[out_idx] = acc[out_idx] + g(xnew[~inside])
@@ -358,7 +358,7 @@ def _walk(problem, config, constants, starts, span, width, land):
         if np.any(inside):
             xin = xnew[inside]
             in_idx = li[inside]
-            d = dom.dist_boundary(xin)
+            d = d[inside]
             in_shell = d < config.epsilon
             stop_idx = in_idx[in_shell]
             if stop_idx.size:
@@ -391,10 +391,8 @@ def check_starts(problem, config, points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != problem.n:
         raise ValueError(f"start points must have shape (m, {problem.n}), "
                          f"got {pts.shape}")
-    inside = problem.domain.contains(pts)
-    shell = np.zeros(pts.shape[0], dtype=bool)
-    shell[inside] = problem.domain.dist_boundary(pts[inside]) < config.epsilon
-    bad = ~inside | shell
+    inside, d = problem.domain._locate(pts)
+    bad = ~inside | (d < config.epsilon)
     if np.any(bad):
         i = int(np.argmax(bad))
         where = "inside the epsilon-shell" if inside[i] else "outside the domain"

@@ -6,6 +6,12 @@ evaluated there.  Distances are exact closed forms per shape, which is
 what keeps the inscribed-ball radii honest; projections return a nearest
 boundary point with deterministic lexicographic tie-breaking.
 
+A domain implements one query for both questions a walk step asks of a
+landing point, ``_locate(pts) -> (inside, dist)``: membership, and the
+boundary distance of the rows inside, from one pass.  Membership is its own
+result, not ``dist > 0``: the L-shape's segment distance underflows to 0.0
+at interior points such as (-1e-200, 0.5).
+
 Every query accepts a single point of shape (n,) or a batch (m, n) and
 returns scalars or (m,) / (m, n) arrays accordingly.
 """
@@ -25,15 +31,17 @@ __all__ = [
 
 
 class Domain:
-    """Interface: contains / dist_boundary / project_boundary (+ bbox helper)."""
+    """Interface: contains / dist_boundary / project_boundary (+ bbox helper).
+
+    A concrete domain implements _locate, _project and _bbox on (m, n) float
+    arrays.  _locate(pts) returns (inside, dist): each row's open-set
+    membership, and its boundary distance where inside (other rows may hold
+    any value).  Membership is explicit because a distance can underflow to
+    0.0 at an interior point (the L-shape's, at (-1e-200, 0.5))."""
 
     n: int
 
-    # concrete domains implement these on (m, n) float arrays
-    def _contains(self, pts):
-        raise NotImplementedError
-
-    def _dist(self, pts):
+    def _locate(self, pts):
         raise NotImplementedError
 
     def _project(self, pts):
@@ -54,16 +62,15 @@ class Domain:
     def contains(self, x):
         """Open-set membership; boundary points report False."""
         pts, single = self._coerce(x)
-        inside = self._contains(pts)
+        inside = self._locate(pts)[0]
         return bool(inside[0]) if single else inside
 
     def dist_boundary(self, x):
         """Exact Euclidean distance from an interior point to the boundary."""
         pts, single = self._coerce(x)
-        inside = self._contains(pts)
+        inside, d = self._locate(pts)
         if not np.all(inside):
             raise ValueError("dist_boundary requires interior points")
-        d = self._dist(pts)
         return float(d[0]) if single else d
 
     def project_boundary(self, x):
@@ -86,11 +93,9 @@ class Domain:
         have = 0
         for _ in range(10_000):
             cand = rng.uniform(lo, hi, size=(max(4 * count, 64), self.n))
-            ok = self._contains(cand)
+            ok, d = self._locate(cand)
             if margin > 0.0:
-                okd = np.zeros(cand.shape[0], dtype=bool)
-                okd[ok] = self._dist(cand[ok]) > margin
-                ok = okd
+                ok &= d > margin
             cand = cand[ok]
             take = min(count - have, cand.shape[0])
             out[have : have + take] = cand[:take]
@@ -146,14 +151,9 @@ class BallDomain(Domain):
             raise ValueError("radius must be positive")
         self.n = self.center.shape[0]
 
-    def _r(self, pts):
-        return np.linalg.norm(pts - self.center[None, :], axis=1)
-
-    def _contains(self, pts):
-        return self._r(pts) < self.radius
-
-    def _dist(self, pts):
-        return self.radius - self._r(pts)
+    def _locate(self, pts):
+        r = np.linalg.norm(pts - self.center[None, :], axis=1)
+        return r < self.radius, self.radius - r
 
     def _project(self, pts):
         rel = pts - self.center[None, :]
@@ -186,12 +186,10 @@ class BoxDomain(Domain):
             raise ValueError("box requires lo < hi per axis")
         self.n = self.lo.shape[0]
 
-    def _contains(self, pts):
-        return np.all((pts > self.lo) & (pts < self.hi), axis=1)
-
-    def _dist(self, pts):
-        gaps = np.minimum(pts - self.lo, self.hi - pts)
-        return gaps.min(axis=1)
+    def _locate(self, pts):
+        # a - b > 0 exactly when a > b in IEEE arithmetic, and NaN fails both
+        d = np.minimum(pts - self.lo, self.hi - pts).min(axis=1)
+        return d > 0.0, d
 
     def _project(self, pts):
         m = pts.shape[0]
@@ -219,27 +217,23 @@ class LShapeDomain(Domain):
     _VERTS = np.array(
         [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
     )
+    _EDGES = list(zip(_VERTS, np.roll(_VERTS, -1, axis=0)))
 
     def __init__(self):
         self.n = 2
 
-    def _contains(self, pts):
+    def _locate(self, pts):
         in_square = np.all((pts > -1.0) & (pts < 1.0), axis=1)
         in_cut = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)
-        return in_square & ~in_cut
-
-    def _edges(self):
-        v = self._VERTS
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-
-    def _dist(self, pts):
-        d = np.full(pts.shape[0], np.inf)
-        for a, b in self._edges():
-            d = np.minimum(d, _segment_distance(pts, a, b)[0])
-        return d
+        inside = in_square & ~in_cut
+        # the six segment distances, on the rows inside only
+        own = pts[inside]
+        d = np.zeros(pts.shape[0])
+        d[inside] = np.min([_segment_distance(own, a, b)[0] for a, b in self._EDGES], axis=0)
+        return inside, d
 
     def _project(self, pts):
-        edges = self._edges()
+        edges = self._EDGES
         m = pts.shape[0]
         cands = np.empty((m, len(edges), 2))
         dists = np.empty((m, len(edges)))
@@ -262,16 +256,10 @@ class AnnulusDomain(Domain):
         self.center = np.asarray(center, dtype=float)
         self.n = self.center.shape[0]
 
-    def _r(self, pts):
-        return np.linalg.norm(pts - self.center[None, :], axis=1)
-
-    def _contains(self, pts):
-        r = self._r(pts)
-        return (r > self.inner) & (r < self.outer)
-
-    def _dist(self, pts):
-        r = self._r(pts)
-        return np.minimum(r - self.inner, self.outer - r)
+    def _locate(self, pts):
+        r = np.linalg.norm(pts - self.center[None, :], axis=1)
+        inside = (r > self.inner) & (r < self.outer)
+        return inside, np.minimum(r - self.inner, self.outer - r)
 
     def _project(self, pts):
         rel = pts - self.center[None, :]
@@ -331,12 +319,10 @@ class HexagonDomain(Domain):
             np.maximum(s, x * nx + y * ny, out=s)
         return s
 
-    def _contains(self, pts):
-        return self._max_support(pts) < self.inradius
-
-    def _dist(self, pts):
+    def _locate(self, pts):
         # interior distance to a convex polygon is the minimal edge-line gap
-        return self.inradius - self._max_support(pts)
+        s = self._max_support(pts)
+        return s < self.inradius, self.inradius - s
 
     def _project(self, pts):
         # segment projection stays correct for exterior queries too, where the

@@ -71,11 +71,11 @@ _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SH32 = np.array(32, dtype=np.uint64)
 _SH11 = np.array(11, dtype=np.uint64)
 
-# The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, ...) array.
-_M = np.array([_M0, _M1])
+# The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, blocks) array.
+_M = np.array([[_M0], [_M1]])
 _M_LO = _M & _MASK32
 _M_HI = _M >> _SH32
-_W = np.array([_W0, _W1])
+_W = np.array([[_W0], [_W1]])
 
 # Blocks generated per pass of the round loop: temporaries stay in cache and
 # memory stays flat however many blocks a call asks for.
@@ -96,48 +96,29 @@ _EXIT_TABLE_DEGREE = 14
 _EXIT_TABLE_TOL = 1e-11
 
 
-def _tiles(shape):
-    """Index tuples cutting an array of `shape` into pieces of at most
-    _TILE_BLOCKS elements, in C order (shape has at least one axis)."""
-    inner = int(np.prod(shape[1:]))
-    if inner <= _TILE_BLOCKS:
-        step = _TILE_BLOCKS // max(inner, 1)
-        for a in range(0, shape[0], step):
-            yield (slice(a, a + step),)
-    else:
-        for a in range(shape[0]):
-            for rest in _tiles(shape[1:]):
-                yield (a,) + rest
-
-
 def _philox_tile(c0, c1, c2, c3, k0, k1):
-    """Philox4x64-10 on one tile -> (A, B) with A = (word 0, word 2) and
-    B = (word 1, word 3), each of shape (2,) + the broadcast tile shape.
+    """Philox4x64-10 on one tile of blocks -> (A, B) with A = (word 0,
+    word 2) and B = (word 1, word 3), each of shape (2, blocks).
 
     Per round, with lanes A = (c0, c2), B = (c1, c3), key K = (k0, k1):
     A' = reversed(mulhi(A, M)) ^ B ^ K and B' = reversed(A * M).  The high
     half of the 128-bit product is built from four 32-bit partial products.
-    The inputs share one ndim; the keys keep their own (broadcast) shape.
+    The inputs broadcast to one 1-d tile: a 0-d word is shared by its blocks.
     """
-    shape = np.broadcast_shapes(*(v.shape for v in (c0, c1, c2, c3, k0, k1)))
-    a = np.empty((2,) + shape, dtype=np.uint64)
-    b = np.empty_like(a)
-    a[0], a[1], b[0], b[1] = c0, c2, c1, c3
-    lanes = (2,) + (1,) * len(shape)
-    m, m_lo, m_hi, w = (v.reshape(lanes) for v in (_M, _M_LO, _M_HI, _W))
-    key = np.stack(np.broadcast_arrays(k0, k1))
+    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(c0, c1, c2, c3, k0, k1)
+    a, b, key = np.stack((c0, c2)), np.stack((c1, c3)), np.stack((k0, k1))
     for rnd in range(10):
         if rnd > 0:
-            key = key + w
-        lo = a * m
+            key = key + _W
+        lo = a * _M
         a_lo = a & _MASK32
         hi = np.right_shift(a, _SH32, out=a)
-        t = a_lo * m_hi
-        np.multiply(a_lo, m_lo, out=a_lo)
+        t = a_lo * _M_HI
+        np.multiply(a_lo, _M_LO, out=a_lo)
         t += np.right_shift(a_lo, _SH32, out=a_lo)
-        u = hi * m_lo
+        u = hi * _M_LO
         u += np.bitwise_and(t, _MASK32, out=a_lo)
-        hi *= m_hi
+        hi *= _M_HI
         hi += np.right_shift(t, _SH32, out=t)
         hi += np.right_shift(u, _SH32, out=u)
         np.bitwise_xor(b, hi[::-1], out=b)
@@ -146,32 +127,21 @@ def _philox_tile(c0, c1, c2, c3, k0, k1):
     return a, b
 
 
-def _tile_of(v, t):
-    """v[t] where v broadcasts against the tiled array: axes of size 1 stay
-    at size 1, so broadcast inputs are never copied to the tile's size."""
-    return v[
-        tuple(
-            i if n > 1 else (0 if isinstance(i, int) else slice(None))
-            for i, n in zip(t, v.shape)
-        )
-    ]
-
-
 def _philox_fill(out, c0, c1, c2, c3, k0, k1, store):
-    """Fill out[..., w] (shape S + (4,)) with word w of the block at each
-    index of S, one tile at a time.  The counter and key words broadcast to
-    S.  store(dst, words) writes a (2, tile...) pair of words into its
-    (2, tile...) destination view."""
-    shape = out.shape[:-1]
-    ins = [
-        v.reshape((1,) * (len(shape) - v.ndim) + v.shape)
-        for v in (c0, c1, c2, c3, k0, k1)
-    ]
-    for t in _tiles(shape):
-        a, b = _philox_tile(*(_tile_of(v, t) for v in ins))
-        dst = out[t]
-        store(np.moveaxis(dst[..., 0::2], -1, 0), a)
-        store(np.moveaxis(dst[..., 1::2], -1, 0), b)
+    """Fill out[..., w] (shape S + (4,), C-contiguous) with word w of the
+    block at each index of S.  The counter and key words broadcast to S;
+    each one that is not 0-d is raveled to one flat list of blocks, which
+    runs through _philox_tile in consecutive tiles of _TILE_BLOCKS.  A
+    block's words do not depend on the tiling.  store(dst, words) writes a
+    (2, tile) pair of words into its (2, tile) destination view."""
+    ins = [np.broadcast_to(v, out.shape[:-1]).ravel() if np.ndim(v) else v
+           for v in (c0, c1, c2, c3, k0, k1)]
+    flat = out.reshape(-1, 4)
+    for a in range(0, flat.shape[0], _TILE_BLOCKS):
+        t = slice(a, a + _TILE_BLOCKS)
+        lo, hi = _philox_tile(*(v[t] if np.ndim(v) else v for v in ins))
+        store(flat[t, 0::2].T, lo)
+        store(flat[t, 1::2].T, hi)
 
 
 def philox4x64(c0, c1, c2, c3, k0, k1):
@@ -181,8 +151,8 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     numpy.random.Philox emits the block at counter+1 first (it advances
     before generating); the known-answer test accounts for that offset.
     """
-    ins = [np.asarray(v, dtype=np.uint64) for v in (c0, c1, c2, c3, k0, k1)]
-    shape = np.broadcast_shapes(*(v.shape for v in ins)) or (1,)
+    ins = [np.atleast_1d(np.asarray(v, dtype=np.uint64)) for v in (c0, c1, c2, c3, k0, k1)]
+    shape = np.broadcast_shapes(*(v.shape for v in ins))
     out = np.empty(shape + (4,), dtype=np.uint64)
     _philox_fill(out, *ins, np.copyto)
     return tuple(out[..., w] for w in range(4))

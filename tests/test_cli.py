@@ -587,6 +587,14 @@ def test_negative_points_seed_names_the_key(tmp_path, capsys):
 _WALK = {"epsilon": 1e-6, "num_paths": 200, "seed": 0}
 
 
+def _domain(**domain):
+    return {"case": {"domain": domain, "n": 2, "alpha": 1.0, "g": "zero"}}
+
+
+def _grid(margin):
+    return {"points": {"type": "grid", "resolution": 3, "margin": margin}}
+
+
 @pytest.mark.parametrize("command, over, key", [
     ("solve", {"walk": {**_WALK, "num_paths": 2.5}}, "walk.num_paths"),
     ("solve", {"walk": {**_WALK, "num_paths": True}}, "walk.num_paths"),
@@ -602,10 +610,26 @@ _WALK = {"epsilon": 1e-6, "num_paths": 200, "seed": 0}
     ("convergence", {"path_ladder": [100, 2.5]}, "path_ladder"),
     ("convergence", {"path_ladder": [100, True]}, "path_ladder"),
     ("steps", {"alphas": [1.0, "x"]}, "alphas"),
+    ("solve", _domain(type="ball", center=[0.0, 0.0], radius=True), "case.domain.radius"),
+    ("solve", _domain(type="ball", center=[0.0, 0.0], radius="1.0"), "case.domain.radius"),
+    ("solve", _domain(type="ball", center=[0.0, 0.0], radius="abc"), "case.domain.radius"),
+    ("solve", _domain(type="ball", center=[0.0, "0"], radius=1.0), "case.domain.center"),
+    ("solve", _domain(type="ball", center="0, 0", radius=1.0), "case.domain.center"),
+    ("solve", _domain(type="box", lo=[-1.0, "-1"], hi=[1.0, 1.0]), "case.domain.lo"),
+    ("solve", _domain(type="box", lo=[-1.0, -1.0], hi=[True, 1.0]), "case.domain.hi"),
+    ("solve", _domain(type="annulus", inner="0.3", outer=1.0), "case.domain.inner"),
+    ("solve", _domain(type="annulus", inner=0.3, outer=[1.0]), "case.domain.outer"),
+    ("solve", _domain(type="hexagon", circumradius=True), "case.domain.circumradius"),
+    ("field", _grid(True), "points.margin"),
+    ("field", _grid("0.2"), "points.margin"),
+    ("field", _grid("abc"), "points.margin"),
 ], ids=["num_paths_float", "num_paths_bool", "num_paths_string", "seed_float",
         "seed_string", "max_steps_bool", "epsilon_string", "epsilon_bool",
         "count_float", "count_bool", "alpha_string", "ladder_float", "ladder_bool",
-        "alphas_string"])
+        "alphas_string", "radius_bool", "radius_numeric_string", "radius_string",
+        "center_entry_string", "center_string", "lo_entry_string", "hi_entry_bool",
+        "inner_string", "outer_list", "circumradius_bool", "margin_bool",
+        "margin_numeric_string", "margin_string"])
 def test_bad_numbers_name_their_key(tmp_path, capsys, command, over, key):
     # a value that is not the number its key needs is refused, never
     # truncated or read as 0 or 1, and the message names the key

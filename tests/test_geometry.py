@@ -75,6 +75,22 @@ def test_projection_properties_at_drawn_points(dom, seed, t):
         assert np.max(dom.dist_boundary(proj[inside])) <= 1e-9
 
 
+def _boundary_rows(dom):
+    """Exact boundary points of dom: each one is outside the open set."""
+    if isinstance(dom, BallDomain):
+        return dom.center + dom.radius * np.eye(dom.n)[[0, -1]] * [[1.0], [-1.0]]
+    if isinstance(dom, BoxDomain):
+        axis = np.arange(dom.n)
+        mid = (dom.lo + dom.hi) / 2.0
+        return np.stack([np.where(axis == 0, dom.lo, mid), np.where(axis == dom.n - 1, dom.hi, mid)])
+    if isinstance(dom, LShapeDomain):
+        return np.array([[0.0, 0.5], [0.5, 0.0], [0.0, 0.0], [1.0, -0.5], [-1.0, 0.3]])
+    if isinstance(dom, AnnulusDomain):
+        return dom.center + np.array([[dom.outer, 0.0], [0.0, -dom.outer], [dom.inner, 0.0]])
+    # the hexagon's bottom edge: center_y - inradius is exact at these centers
+    return dom.center + np.array([[0.0, -dom.inradius]])
+
+
 @pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
 def test_queries_do_not_depend_on_the_batch(dom):
     # a point's membership, distance and projection are the same bits in a
@@ -85,6 +101,10 @@ def test_queries_do_not_depend_on_the_batch(dom):
     dist = np.full(pts.shape[0], np.nan)
     dist[inside] = dom.dist_boundary(pts[inside])
     proj = dom.project_boundary(pts)
+    # the walk's one query gives the public queries' bits
+    loc_in, loc_d = dom._locate(pts)
+    assert np.array_equal(loc_in, inside)
+    assert np.array_equal(loc_d[inside], dist[inside])
     for size in (1, 2, 3, 7, 16, 100):
         for a in range(0, 700, size):
             rows = slice(a, a + size)
@@ -93,6 +113,22 @@ def test_queries_do_not_depend_on_the_batch(dom):
             ins = inside[rows]
             if np.any(ins):
                 assert np.array_equal(dom.dist_boundary(pts[rows][ins]), dist[rows][ins])
+            sub_in, sub_d = dom._locate(pts[rows])
+            assert np.array_equal(sub_in, ins)
+            assert np.array_equal(sub_d[ins], dist[rows][ins])
+
+    # edge rows: a non-finite coordinate and an exact boundary point are outside
+    x0 = dom.random_interior(1, seed=0)[0]
+    edge = np.concatenate([np.tile(x0, (3, 1)), _boundary_rows(dom)])
+    edge[:3, 0] = [np.nan, np.inf, -np.inf]
+    assert not np.any(dom._locate(edge)[0])
+    assert not np.any(dom.contains(edge))
+    if isinstance(dom, LShapeDomain):
+        # the distance underflows to 0.0, yet the point is inside
+        p = np.array([[-1e-200, 0.5]])
+        loc_in, loc_d = dom._locate(p)
+        assert loc_in.tolist() == [True] and loc_d.tolist() == [0.0]
+        assert dom.contains(p[0]) and dom.dist_boundary(p[0]) == 0.0
 
 
 @pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
