@@ -9,7 +9,9 @@ tests).  Streams are addressed, not seeded: a draw is a pure function of
 so paths replay identically no matter how they are batched or scheduled.
 The solver keys stream_id by path index and substream by a hash of the
 evaluation point, which makes whole-field runs order-independent and
-duplicate points bit-identical.
+duplicate points bit-identical.  _philox_rounds runs the ten rounds in place
+on (2, T) lanes A = (c0, c2), B = (c1, c3) and key (k0, k1), which
+_philox_tiles assigns from a flat block list, _TILE_BLOCKS at a time.
 
 * ``StreamBatch`` - one addressed stream per path, each with its own block
   counter; ``uniforms`` draws whole blocks for a subset of the paths.
@@ -71,11 +73,10 @@ _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SH32 = np.array(32, dtype=np.uint64)
 _SH11 = np.array(11, dtype=np.uint64)
 
-# The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, blocks) array.
+# The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, blocks) array;
+# _CONSTS stacks the (2, 1) columns M, its high and low halves, and W.
 _M = np.array([[_M0], [_M1]])
-_M_LO = _M & _MASK32
-_M_HI = _M >> _SH32
-_W = np.array([[_W0], [_W1]])
+_CONSTS = np.stack((_M, _M >> _SH32, _M & _MASK32, np.array([[_W0], [_W1]])))
 
 # Blocks generated per pass of the round loop: temporaries stay in cache and
 # memory stays flat however many blocks a call asks for.
@@ -96,52 +97,57 @@ _EXIT_TABLE_DEGREE = 14
 _EXIT_TABLE_TOL = 1e-11
 
 
-def _philox_tile(c0, c1, c2, c3, k0, k1):
-    """Philox4x64-10 on one tile of blocks -> (A, B) with A = (word 0,
-    word 2) and B = (word 1, word 3), each of shape (2, blocks).
+def _philox_rounds(a, b, key):
+    """Philox4x64-10 in place on the (2, T) uint64 lanes a = (c0, c2),
+    b = (c1, c3) and key = (k0, k1) -> (A, B) = (words 0, 2), (words 1, 3).
 
-    Per round, with lanes A = (c0, c2), B = (c1, c3), key K = (k0, k1):
-    A' = reversed(mulhi(A, M)) ^ B ^ K and B' = reversed(A * M).  The high
-    half of the 128-bit product is built from four 32-bit partial products.
-    The inputs broadcast to one 1-d tile: a 0-d word is shared by its blocks.
-    """
-    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(c0, c1, c2, c3, k0, k1)
-    a, b, key = np.stack((c0, c2)), np.stack((c1, c3)), np.stack((k0, k1))
+    Per round A' = reversed(mulhi(A, M)) ^ B ^ K and B' = reversed(A * M),
+    the high half from four 32-bit partial products.  B is carried as
+    l = reversed(B), the last A * M, so A' = reversed(mulhi(A, M) ^ l) ^ K:
+    every ufunc writes into scratch made once, and all but that xor take
+    contiguous operands of one shape, numpy's cheapest dispatch.  So do the
+    constants, copied to (2, T) on tiles of up to _TILE_BLOCKS // 2; on a
+    full tile the copies cost more memory traffic than they save."""
+    l, x, t, u = np.empty((4,) + a.shape, dtype=np.uint64)
+    l[...] = b[::-1]
+    s = b
+    m, m_hi, m_lo, w = (_CONSTS if a.shape[1] > _TILE_BLOCKS // 2
+                        else np.repeat(_CONSTS, a.shape[1], axis=2))
     for rnd in range(10):
         if rnd > 0:
-            key = key + _W
-        lo = a * _M
-        a_lo = a & _MASK32
+            key += w
+        np.multiply(a, m, out=s)
+        np.bitwise_and(a, _MASK32, out=x)
         hi = np.right_shift(a, _SH32, out=a)
-        t = a_lo * _M_HI
-        np.multiply(a_lo, _M_LO, out=a_lo)
-        t += np.right_shift(a_lo, _SH32, out=a_lo)
-        u = hi * _M_LO
-        u += np.bitwise_and(t, _MASK32, out=a_lo)
-        hi *= _M_HI
+        np.multiply(x, m_hi, out=t)
+        x *= m_lo
+        t += np.right_shift(x, _SH32, out=x)
+        np.multiply(hi, m_lo, out=u)
+        u += np.bitwise_and(t, _MASK32, out=x)
+        hi *= m_hi
         hi += np.right_shift(t, _SH32, out=t)
         hi += np.right_shift(u, _SH32, out=u)
-        np.bitwise_xor(b, hi[::-1], out=b)
-        b ^= key
-        a, b = b, lo[::-1]
-    return a, b
+        hi ^= l
+        a = np.bitwise_xor(hi[::-1], key, out=l)
+        l, s = s, hi
+    return a, l[::-1]
 
 
-def _philox_fill(out, c0, c1, c2, c3, k0, k1, store):
-    """Fill out[..., w] (shape S + (4,), C-contiguous) with word w of the
-    block at each index of S.  The counter and key words broadcast to S;
-    each one that is not 0-d is raveled to one flat list of blocks, which
-    runs through _philox_tile in consecutive tiles of _TILE_BLOCKS.  A
-    block's words do not depend on the tiling.  store(dst, words) writes a
-    (2, tile) pair of words into its (2, tile) destination view."""
-    ins = [np.broadcast_to(v, out.shape[:-1]).ravel() if np.ndim(v) else v
-           for v in (c0, c1, c2, c3, k0, k1)]
-    flat = out.reshape(-1, 4)
-    for a in range(0, flat.shape[0], _TILE_BLOCKS):
-        t = slice(a, a + _TILE_BLOCKS)
-        lo, hi = _philox_tile(*(v[t] if np.ndim(v) else v for v in ins))
-        store(flat[t, 0::2].T, lo)
-        store(flat[t, 1::2].T, hi)
+def _philox_tiles(c0, c1, c2, c3, k0, k1):
+    """Philox4x64-10 on a flat list of blocks, one tile of _TILE_BLOCKS at a
+    time -> yields (slice, A, B) as _philox_rounds returns them.
+
+    c0 is the 1-d array of the blocks' first counter words; each other word
+    is an array of the same length or one value shared by every block.  The
+    lanes are assigned straight from the words, and a block's words do not
+    depend on the tiling."""
+    for s in range(0, c0.shape[0], _TILE_BLOCKS):
+        t = slice(s, s + _TILE_BLOCKS)
+        a, b, key = np.empty((3, 2, c0[t].shape[0]), dtype=np.uint64)
+        for lane, w0, w1 in ((a, c0, c2), (b, c1, c3), (key, k0, k1)):
+            lane[0] = w0[t] if np.ndim(w0) else w0
+            lane[1] = w1[t] if np.ndim(w1) else w1
+        yield (t, *_philox_rounds(a, b, key))
 
 
 def philox4x64(c0, c1, c2, c3, k0, k1):
@@ -151,11 +157,13 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     numpy.random.Philox emits the block at counter+1 first (it advances
     before generating); the known-answer test accounts for that offset.
     """
-    ins = [np.atleast_1d(np.asarray(v, dtype=np.uint64)) for v in (c0, c1, c2, c3, k0, k1)]
-    shape = np.broadcast_shapes(*(v.shape for v in ins))
-    out = np.empty(shape + (4,), dtype=np.uint64)
-    _philox_fill(out, *ins, np.copyto)
-    return tuple(out[..., w] for w in range(4))
+    ins = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.uint64))
+                                for v in (c0, c1, c2, c3, k0, k1)))
+    out = np.empty((ins[0].size, 4), dtype=np.uint64)
+    for t, a, b in _philox_tiles(*(v.ravel() for v in ins)):
+        out[t, 0::2] = a.T
+        out[t, 1::2] = b.T
+    return tuple(out[:, w].reshape(ins[0].shape) for w in range(4))
 
 
 def _store_unit_open(dst, words):
@@ -191,21 +199,19 @@ class StreamBatch:
         return self.stream_ids.shape[0]
 
     def uniforms(self, idx, m: int):
-        """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m)."""
+        """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m):
+        block j of row i has counter (position[i] + j, substreams[i], 0, 0)."""
         idx = np.asarray(idx, dtype=np.intp)
         nblocks = -(-m // 4)
-        pos = self.position[idx]
-        out = np.empty((idx.shape[0], nblocks, 4))
-        _philox_fill(
-            out,
-            pos[:, None] + np.arange(nblocks, dtype=np.uint64),
-            self.substreams[idx, None],
-            np.uint64(0),
-            np.uint64(0),
-            self.seed,
-            self.stream_ids[idx, None],
-            _store_unit_open,
-        )
+        pos, sub, ids = self.position[idx], self.substreams[idx], self.stream_ids[idx]
+        c0 = pos
+        if nblocks != 1:
+            c0 = (pos[:, None] + np.arange(nblocks, dtype=np.uint64)).ravel()
+            sub, ids = np.repeat(sub, nblocks), np.repeat(ids, nblocks)
+        out = np.empty((c0.shape[0], 4))
+        for t, a, b in _philox_tiles(c0, sub, 0, 0, self.seed, ids):
+            _store_unit_open(out[t, 0::2].T, a)
+            _store_unit_open(out[t, 1::2].T, b)
         self.position[idx] = pos + np.uint64(nblocks)
         return out.reshape(idx.shape[0], 4 * nblocks)[:, :m]
 

@@ -128,6 +128,47 @@ def test_uniforms_mixed_per_row_positions():
     assert np.array_equal(batch.position, start + 2)
 
 
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_one_block_uniforms_on_a_row_subset_spanning_tiles(m):
+    # a one-block request takes the gathered per-row words as they are; a
+    # reversed subset of rows at mixed positions, over more than one tile
+    rows = _TILE_BLOCKS + 37
+    total = 2 * rows + 1
+    ids, subs = np.arange(total) * 7 + 2, np.arange(total) % 5
+    batch = StreamBatch(seed=99, stream_ids=ids, substreams=subs)
+    batch.uniforms(np.arange(0, total, 3), 9)  # 3 blocks on every third row
+    idx = np.arange(1, total, 2)[::-1]
+    start = batch.position.copy()
+    got = batch.uniforms(idx, m)
+    assert got.shape == (rows, m)
+    for j in list(range(0, rows, 499)) + [_TILE_BLOCKS - 1, _TILE_BLOCKS, rows - 1]:
+        i = idx[j]
+        ref = _unit_open(_numpy_words(start[i], subs[i], 99, ids[i], 1))
+        assert np.array_equal(got[j], ref[:m])
+    assert np.array_equal(batch.position[idx], start[idx] + 1)
+    assert np.array_equal(batch.position[0::2], start[0::2])  # rows not drawn
+
+
+def test_uniforms_of_no_rows_or_no_draws():
+    batch = StreamBatch(seed=4, stream_ids=np.arange(6), substreams=1)
+    batch.uniforms([1, 4], 6)
+    start = batch.position.copy()
+    assert batch.uniforms(np.array([], dtype=np.intp), 5).shape == (0, 5)
+    assert batch.uniforms([], 9).shape == (0, 9)
+    assert batch.uniforms(np.arange(6), 0).shape == (6, 0)
+    assert np.array_equal(batch.position, start)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+def test_uniforms_take_a_list_of_rows(m):
+    rows = [5, 0, 3, 2]
+    a, b = (StreamBatch(seed=8, stream_ids=np.arange(6) + 40, substreams=2) for _ in range(2))
+    for s in (a, b):
+        s.uniforms([0, 5], 9)  # mixed starting positions
+    assert np.array_equal(a.uniforms(rows, m), b.uniforms(np.array(rows, dtype=np.intp), m))
+    assert np.array_equal(a.position, b.position)
+
+
 def _one_block_rounds(batch, idx, n, alpha):
     """Interior-radius rejection drawing one block per pending row per round."""
     out = np.empty(idx.shape[0])
