@@ -103,11 +103,11 @@ def _philox_rounds(a, b, key):
 
     Per round A' = reversed(mulhi(A, M)) ^ B ^ K and B' = reversed(A * M),
     the high half from four 32-bit partial products.  B is carried as
-    l = reversed(B), the last A * M, so A' = reversed(mulhi(A, M) ^ l) ^ K:
-    every ufunc writes into scratch made once, and all but that xor take
-    contiguous operands of one shape, numpy's cheapest dispatch.  So do the
-    constants, copied to (2, T) on tiles of up to _TILE_BLOCKS // 2; on a
-    full tile the copies cost more memory traffic than they save."""
+    l = reversed(B), the last A * M, so A' = reversed(mulhi(A, M) ^ l) ^ K.
+    Every ufunc writes into scratch made once; all but that xor take
+    contiguous lanes of one shape, numpy's cheapest dispatch, and up to
+    _TILE_BLOCKS // 2 blocks the (2, 1) constants are copied to (2, T) for
+    it too (on a full tile the copies cost more traffic than they save)."""
     l, x, t, u = np.empty((4,) + a.shape, dtype=np.uint64)
     l[...] = b[::-1]
     s = b
