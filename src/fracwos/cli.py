@@ -32,14 +32,18 @@ Config file (JSON)::
     }
 
 Inline-case f and g refer to builtin fields by name ("zero", "one",
-"constant_source", "gaussian", "inverse_cubic"; f may be "none").
-Unknown keys anywhere in the config are rejected.
+"constant_source", "gaussian", "inverse_cubic"; f may be "none").  An
+inline domain takes the keys of its type in _DOMAINS, the constructor's
+own parameter names.  Unknown keys anywhere in the config are rejected.
 
-Each command runs in two phases.  The build phase reads the config and
-constructs everything the walks need: the case and its ProblemSpec for
-every alpha, the kernel constants, the WalkConfig, the points with their
-start-point check, and the output directory.  The library's own checks
-reject invalid values there.  The run phase walks and writes.
+Each command runs in two phases.  The build phase is one function for
+every walking command, _build: it reads the case, the walk and the points,
+and constructs the case, its ProblemSpec and the kernel constants at every
+alpha.  The library's own checks reject invalid values there.  The command
+then adds its own checks (the start points, the ladder, a grid for field)
+and makes the output directory last, so a config error leaves nothing
+behind.  The run phase walks, and one writer, _write, writes the CSV and
+its summary.
 
 Exit codes: 0 success; 2 config error, anything that fails in the build
 phase, before the first walk; 3 runtime error, a failure during the walks
@@ -123,31 +127,27 @@ def _require_keys(d, where, required, optional=()):
 # ---------------------------------------------------------------------------
 # case construction
 
+# each inline domain type: (class, required keys, optional keys), the keys
+# being the class's own parameter names
+_DOMAINS = {
+    "ball": (BallDomain, ["center", "radius"], []),
+    "box": (BoxDomain, ["lo", "hi"], []),
+    "lshape": (LShapeDomain, [], []),
+    "annulus": (AnnulusDomain, ["inner", "outer"], ["center"]),
+    "hexagon": (HexagonDomain, [], ["circumradius", "center"]),
+}
+
 
 def _build_domain(spec):
-    _require_keys(spec, "case.domain", ["type"], ["center", "radius", "lo", "hi",
-                                                  "inner", "outer", "circumradius"])
-    kind = spec["type"]
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _DOMAINS:
+        raise ValueError(f"unknown domain type: {kind!r}")
+    cls, required, optional = _DOMAINS[kind]
+    _require_keys(spec, "case.domain", ["type", *required], optional)
     # every number of the domain, named by its key: center, lo and hi are lists
     num = {k: (_as_floats if k in ("center", "lo", "hi") else _as_float)(v, "case.domain." + k)
            for k, v in spec.items() if k != "type"}
-    if kind == "ball":
-        if "radius" not in spec or "center" not in spec:
-            raise ValueError("ball domain needs center and radius")
-        return BallDomain(num["center"], num["radius"])
-    if kind == "box":
-        if "lo" not in spec or "hi" not in spec:
-            raise ValueError("box domain needs lo and hi")
-        return BoxDomain(num["lo"], num["hi"])
-    if kind == "lshape":
-        return LShapeDomain()
-    if kind == "annulus":
-        if "inner" not in spec or "outer" not in spec:
-            raise ValueError("annulus domain needs inner and outer radii")
-        return AnnulusDomain(num["inner"], num["outer"], num.get("center", (0.0, 0.0)))
-    if kind == "hexagon":
-        return HexagonDomain(num.get("circumradius", 1.0), num.get("center", (0.0, 0.0)))
-    raise ValueError(f"unknown domain type: {kind!r}")
+    return cls(**num)
 
 
 def _builtin_field(name, n: int, alpha: float):
@@ -168,36 +168,27 @@ def _builtin_field(name, n: int, alpha: float):
 
 
 def _parse_case(spec):
-    """Normalize the case entry; actual objects are built per alpha."""
+    """(alpha, make): the case's own alpha, and make(a), the ExactCase at a."""
     if isinstance(spec, str):
-        return {"kind": "named", "name": spec, "alpha": 1.0}
+        spec = {"name": spec}
     if isinstance(spec, dict) and "name" in spec:
         _require_keys(spec, "case", ["name"], ["alpha"])
-        return {"kind": "named", "name": spec["name"],
-                "alpha": _as_float(spec.get("alpha", 1.0), "case.alpha")}
+
+        def make(a):
+            try:
+                return make_case(spec["name"], a)
+            except KeyError as exc:  # an unknown name; str() of a KeyError is quoted
+                raise ValueError(exc.args[0]) from None
+
+        return _as_float(spec.get("alpha", 1.0), "case.alpha"), make
     if isinstance(spec, dict):
         _require_keys(spec, "case", ["domain", "n", "alpha", "g"], ["f"])
-        return {"kind": "inline", "domain": _build_domain(spec["domain"]),
-                "n": _as_int(spec["n"], "case.n"),
-                "alpha": _as_float(spec["alpha"], "case.alpha"),
-                "f": spec.get("f", "none"), "g": spec["g"]}
+        domain = _build_domain(spec["domain"])
+        n = _as_int(spec["n"], "case.n")
+        f, g = spec.get("f", "none"), spec["g"]
+        return _as_float(spec["alpha"], "case.alpha"), lambda a: ExactCase(
+            "inline", n, a, domain, _builtin_field(f, n, a), _builtin_field(g, n, a), None)
     raise ValueError("case must be a name or an object")
-
-
-def _case_at(parsed, alpha=None):
-    """(case, problem, constants) at alpha; ProblemSpec and make_constants
-    check the dimension, the alpha range and g."""
-    a = float(parsed["alpha"] if alpha is None else alpha)
-    if parsed["kind"] == "named":
-        try:
-            case = make_case(parsed["name"], a)
-        except KeyError as exc:  # an unknown name; str() of a KeyError is quoted
-            raise ValueError(exc.args[0]) from None
-    else:
-        n = parsed["n"]
-        f, g = _builtin_field(parsed["f"], n, a), _builtin_field(parsed["g"], n, a)
-        case = ExactCase("inline", n, a, parsed["domain"], f, g, None)
-    return case, case.problem(), make_constants(case.n, case.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +200,13 @@ def _points(spec, domain, epsilon: float) -> np.ndarray:
                   ["values", "resolution", "margin", "count", "seed"])
     kind = spec["type"]
     if kind == "list":
-        if not spec.get("values"):
+        values = spec.get("values")
+        if not isinstance(values, list) or not values:
             raise ValueError("points.values must be a nonempty list")
-        return np.asarray(spec["values"], dtype=float)
+        rows = [_as_floats(row, "points.values") for row in values]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("points.values must be rows of one length")
+        return np.array(rows)
     if kind == "random":
         count = _as_int(spec.get("count", 0), "points.count")
         if count < 1:
@@ -250,13 +245,6 @@ def _parse_walk(spec, seed_override=None, need_paths=True):
     )
 
 
-def _alphas(raw, parsed_case):
-    alphas = raw.get("alphas", [parsed_case["alpha"]])
-    if not isinstance(alphas, list) or not alphas:
-        raise ValueError("alphas must be a nonempty list")
-    return [_as_float(a, "alphas") for a in alphas]
-
-
 def _load_config(path, command):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -291,8 +279,28 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _write_summary(prefix, command, raw, extras, t0, ests):
-    """Write <prefix>_summary.json; ests are every Estimate of the run."""
+def _build(raw, seed_override, need_paths=True):
+    """The build phase every walking command shares: (t0, built, walk, pts),
+    with built the (case, problem, constants) at each alpha of the run."""
+    t0 = time.perf_counter()
+    alpha, make = _parse_case(raw["case"])
+    alphas = raw.get("alphas", [alpha])
+    if not isinstance(alphas, list) or not alphas:
+        raise ValueError("alphas must be a nonempty list")
+    alphas = [_as_float(a, "alphas") for a in alphas]
+    walk = _parse_walk(raw.get("walk"), seed_override, need_paths)
+    # ProblemSpec and make_constants check the dimension, the alpha range and g
+    built = [(case, case.problem(), make_constants(case.n, case.alpha))
+             for case in map(make, alphas)]
+    return t0, built, walk, _points(raw["points"], built[0][0].domain, walk.epsilon)
+
+
+def _write(prefix, suffix, header, rows, command, raw, t0, ests, **extras):
+    """Write <prefix><suffix>, the header and rows of cells (a str as it is,
+    a number by _fmt), then <prefix>_summary.json; ests are every Estimate
+    of the run."""
+    lines = [header] + [[c if isinstance(c, str) else _fmt(c) for c in row] for row in rows]
+    _write_text(prefix + suffix, "".join(",".join(line) + "\n" for line in lines))
     payload = {
         "command": command,
         "version": __version__,
@@ -300,194 +308,143 @@ def _write_summary(prefix, command, raw, extras, t0, ests):
         "wall_time_s": time.perf_counter() - t0,
         "n_dropped": sum(e.n_dropped for e in ests),
         "n_nonfinite": sum(e.n_nonfinite for e in ests),
+        "outputs": [prefix + suffix],
+        **extras,
     }
-    payload.update(extras)
     _write_text(prefix + "_summary.json",
                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # commands: each builds the whole run and returns the closure that walks
 
 
+def _coords(n):
+    return [f"x{d+1}" for d in range(n)]
+
+
 def cmd_solve(raw, seed_override=None):
-    t0 = time.perf_counter()
-    case, problem, constants = _case_at(_parse_case(raw["case"]))
-    walk = _parse_walk(raw.get("walk"), seed_override)
-    pts = _points(raw["points"], case.domain, walk.epsilon)
+    t0, [(case, problem, constants)], walk, pts = _build(raw, seed_override)
     check_starts(problem, walk, pts)
     prefix = _output_prefix(raw)
 
     def run():
         ests = estimate_field(problem, walk, constants, pts)
-        header = ",".join([f"x{d+1}" for d in range(case.n)]
-                          + ["mean", "stderr", "steps_mean", "n_paths"])
-        lines = [header]
-        for p, e in zip(pts, ests):
-            cols = [_fmt(c) for c in p] + [_fmt(e.mean), _fmt(e.stderr),
-                                           _fmt(e.mean_steps), str(e.n_paths)]
-            lines.append(",".join(cols))
-        _write_text(prefix + "_estimates.csv", "\n".join(lines) + "\n")
-
-        extras = {"outputs": [prefix + "_estimates.csv"], "n_points": len(pts)}
+        extras = {"n_points": len(pts)}
         if case.u_exact is not None:
-            exact = case.u_exact(pts)
-            perr, rmse = error_metric([e.mean for e in ests], exact)
-            extras["paper_error"] = perr
-            extras["rmse"] = rmse
-        _write_summary(prefix, "solve", raw, extras, t0, ests)
-        return 0
+            extras["paper_error"], extras["rmse"] = error_metric(
+                [e.mean for e in ests], case.u_exact(pts))
+        rows = [[*p, e.mean, e.stderr, e.mean_steps, str(e.n_paths)]
+                for p, e in zip(pts, ests)]
+        return _write(prefix, "_estimates.csv",
+                      _coords(case.n) + ["mean", "stderr", "steps_mean", "n_paths"],
+                      rows, "solve", raw, t0, ests, **extras)
 
     return run
 
 
 def cmd_convergence(raw, seed_override=None):
-    t0 = time.perf_counter()
-    parsed_case = _parse_case(raw["case"])
-    alphas = _alphas(raw, parsed_case)
+    t0, built, walk0, pts = _build(raw, seed_override, need_paths=False)
     ladder = raw["path_ladder"]
     if not isinstance(ladder, list) or not ladder:
         raise ValueError("path_ladder must be a nonempty list of path counts")
     ladder = [_as_int(N, "path_ladder") for N in ladder]
-    walk0 = _parse_walk(raw.get("walk"), seed_override, need_paths=False)
     walks = [dataclasses.replace(walk0, num_paths=N) for N in ladder]
-
-    built = [_case_at(parsed_case, a) for a in alphas]
-    case0, problem0, _ = built[0]
-    if case0.u_exact is None:
+    if built[0][0].u_exact is None:
         raise ValueError("convergence needs a case with an exact solution")
-    pts = _points(raw["points"], case0.domain, walk0.epsilon)
-    check_starts(problem0, walk0, pts)
+    check_starts(built[0][1], walk0, pts)
     prefix = _output_prefix(raw)
 
     def run():
-        table = {}  # (alpha, N) -> (paper_error, rmse)
+        errors = []  # per alpha, the (paper_error, rmse) of each rung
         every = []
-        for a, (case, problem, constants) in zip(alphas, built):
+        for case, problem, constants in built:
             exact = case.u_exact(pts)
-            for N, walk in zip(ladder, walks):
+            errors.append([])
+            for walk in walks:
                 ests = estimate_field(problem, walk, constants, pts)
-                table[(a, N)] = error_metric([e.mean for e in ests], exact)
+                errors[-1].append(error_metric([e.mean for e in ests], exact))
                 every += ests
 
-        cols = []
-        for a in alphas:
-            cols += [f"paper_error_a{a:g}", f"rmse_a{a:g}"]
-        lines = [",".join(["N"] + cols)]
-        for N in ladder:
-            row = [str(N)]
-            for a in alphas:
-                perr, rmse = table[(a, N)]
-                row += [_fmt(perr), _fmt(rmse)]
-            lines.append(",".join(row))
-        _write_text(prefix + "_error_vs_N.csv", "\n".join(lines) + "\n")
-
+        alphas = [f"{case.alpha:g}" for case, _, _ in built]
+        header = ["N"] + [f"{m}_a{a}" for a in alphas for m in ("paper_error", "rmse")]
+        rows = [[str(N), *(v for errs in errors for v in errs[i])]
+                for i, N in enumerate(ladder)]
         slopes = {}
         logN = np.log10(np.asarray(ladder, dtype=float))
-        for a in alphas:
-            errs = np.array([table[(a, N)][0] for N in ladder])
-            good = errs > 0
+        for a, errs in zip(alphas, errors):
+            perr = np.array([e[0] for e in errs])
+            good = perr > 0
             if good.sum() < 2:
-                warnings.warn(f"alpha={a:g}: fewer than two usable ladder points, "
+                warnings.warn(f"alpha={a}: fewer than two usable ladder points, "
                               "slope is nan", RuntimeWarning)
-                slopes[f"a{a:g}"] = float("nan")
+                slopes[f"a{a}"] = float("nan")
             else:
-                slopes[f"a{a:g}"] = float(
-                    np.polyfit(logN[good], np.log10(errs[good]), 1)[0])
-        _write_summary(prefix, "convergence", raw,
-                       {"outputs": [prefix + "_error_vs_N.csv"], "slopes": slopes}, t0,
-                       every)
-        return 0
+                slopes[f"a{a}"] = float(np.polyfit(logN[good], np.log10(perr[good]), 1)[0])
+        return _write(prefix, "_error_vs_N.csv", header, rows, "convergence", raw, t0,
+                      every, slopes=slopes)
 
     return run
 
 
 def cmd_steps(raw, seed_override=None):
-    t0 = time.perf_counter()
-    parsed_case = _parse_case(raw["case"])
-    alphas = _alphas(raw, parsed_case)
-    walk = _parse_walk(raw.get("walk"), seed_override)
-
-    built = [_case_at(parsed_case, a) for a in alphas]
-    case0, problem0, _ = built[0]
-    pts = _points(raw["points"], case0.domain, walk.epsilon)
-    check_starts(problem0, walk, pts)
+    t0, built, walk, pts = _build(raw, seed_override)
+    check_starts(built[0][1], walk, pts)
     prefix = _output_prefix(raw)
 
     def run():
         # abs_x is the distance from a ball's centre, for other domains from the origin
-        dom = case0.domain
+        dom = built[0][0].domain
         rel = pts - dom.center if isinstance(dom, BallDomain) else pts
         radii = np.linalg.norm(rel, axis=1)
         order = np.argsort(radii, kind="stable")
 
-        lines = ["alpha,abs_x,steps_mean"]
-        means = {}
-        every = []
-        for a, (_, problem, constants) in zip(alphas, built):
-            ests = estimate_field(problem, walk, constants, pts)
-            means[a] = np.array([e.mean_steps for e in ests])
-            every += ests
-            for i in order:
-                lines.append(",".join([f"{a:g}", _fmt(radii[i]), _fmt(means[a][i])]))
-        _write_text(prefix + "_steps.csv", "\n".join(lines) + "\n")
-
+        rows, every = [], []
         # reported, not enforced: walks started nearer the boundary should
         # take more steps, up to a small relative slack for Monte Carlo noise
         monotone = True
-        if isinstance(dom, BallDomain):
-            for a in alphas:
-                seq = means[a][order]
-                if np.any(seq[1:] < seq[:-1] * (1.0 - 1e-2) - 1e-9):
-                    monotone = False
-        if any(means[a].min() < 1.0 for a in alphas):
-            raise RuntimeError("steps_mean below 1; the first ball is always built")
-        _write_summary(prefix, "steps", raw,
-                       {"outputs": [prefix + "_steps.csv"],
-                        "monotone_in_abs_x": monotone}, t0, every)
-        return 0
+        for case, problem, constants in built:
+            ests = estimate_field(problem, walk, constants, pts)
+            every += ests
+            seq = np.array([e.mean_steps for e in ests])[order]
+            if seq.min() < 1.0:
+                raise RuntimeError("steps_mean below 1; the first ball is always built")
+            if isinstance(dom, BallDomain):
+                monotone &= not np.any(seq[1:] < seq[:-1] * (1.0 - 1e-2) - 1e-9)
+            rows += [[f"{case.alpha:g}", radii[i], s] for i, s in zip(order, seq)]
+        return _write(prefix, "_steps.csv", ["alpha", "abs_x", "steps_mean"], rows,
+                      "steps", raw, t0, every, monotone_in_abs_x=monotone)
 
     return run
 
 
 def cmd_field(raw, seed_override=None):
-    t0 = time.perf_counter()
-    case, problem, constants = _case_at(_parse_case(raw["case"]))
-    walk = _parse_walk(raw.get("walk"), seed_override)
-    dom = case.domain
-    pts = _points(raw["points"], dom, walk.epsilon)
+    t0, [(case, problem, constants)], walk, pts = _build(raw, seed_override)
     if raw["points"]["type"] != "grid":
         raise ValueError("field requires a grid points spec")
     prefix = _output_prefix(raw)
 
     def run():
-        inside = dom.contains(pts)
-        values = np.empty(pts.shape[0])
+        # exterior grid points take the boundary data directly, interior
+        # points inside the stopping shell take it at their boundary
+        # projection, and the others are walked
+        dom = case.domain
+        inside, dist = dom._locate(pts)
+        shell = inside & (dist < walk.epsilon)
+        walked = inside & ~shell
+        values = np.empty(len(pts))
+        if not inside.all():
+            values[~inside] = case.g(pts[~inside])
+        if shell.any():
+            values[shell] = case.g(dom.project_boundary(pts[shell]))
         ests = []
-        # exterior grid points take the boundary data directly; interior points
-        # inside the stopping shell take it at their boundary projection
-        values[~inside] = case.g(pts[~inside]) if np.any(~inside) else 0.0
-        if np.any(inside):
-            own = pts[inside]
-            shell = dom.dist_boundary(own) < walk.epsilon
-            vals_in = np.empty(own.shape[0])
-            if np.any(shell):
-                vals_in[shell] = case.g(dom.project_boundary(own[shell]))
-            if not np.all(shell):
-                ests = estimate_field(problem, walk, constants, own[~shell])
-                vals_in[~shell] = [e.mean for e in ests]
-            values[inside] = vals_in
-
-        header = ",".join([f"x{d+1}" for d in range(case.n)] + ["value"])
-        lines = [header]
-        for p, v in zip(pts, values):
-            lines.append(",".join([_fmt(c) for c in p] + [_fmt(v)]))
-        _write_text(prefix + "_field.csv", "\n".join(lines) + "\n")
-        _write_summary(prefix, "field", raw,
-                       {"outputs": [prefix + "_field.csv"],
-                        "n_points": int(pts.shape[0]), "n_interior": len(ests)}, t0,
-                       ests)
-        return 0
+        if walked.any():
+            ests = estimate_field(problem, walk, constants, pts[walked])
+            values[walked] = [e.mean for e in ests]
+        return _write(prefix, "_field.csv", _coords(case.n) + ["value"],
+                      [[*p, v] for p, v in zip(pts, values)], "field", raw, t0, ests,
+                      n_points=len(pts), n_interior=len(ests))
 
     return run
 

@@ -31,13 +31,15 @@ __all__ = [
 
 
 class Domain:
-    """Interface: contains / dist_boundary / project_boundary (+ bbox helper).
+    """Interface: contains / dist_boundary / project_boundary / bounding_box.
 
-    A concrete domain implements _locate, _project and _bbox on (m, n) float
-    arrays.  _locate(pts) returns (inside, dist): each row's open-set
-    membership, and its boundary distance where inside (other rows may hold
-    any value).  Membership is explicit because a distance can underflow to
-    0.0 at an interior point (the L-shape's, at (-1e-200, 0.5))."""
+    A concrete domain implements _locate and _project on (m, n) float
+    arrays, and bounding_box() -> (lo, hi), the axis-aligned box used for
+    grids and sampling, as fresh float arrays.  _locate(pts) returns
+    (inside, dist): each row's open-set membership, and its boundary
+    distance where inside (other rows may hold any value).  Membership is
+    explicit because a distance can underflow to 0.0 at an interior point
+    (the L-shape's, at (-1e-200, 0.5))."""
 
     n: int
 
@@ -45,10 +47,6 @@ class Domain:
         raise NotImplementedError
 
     def _project(self, pts):
-        raise NotImplementedError
-
-    def _bbox(self):
-        """Axis-aligned bounding box (lo, hi) used for grids and sampling."""
         raise NotImplementedError
 
     def _coerce(self, x):
@@ -79,10 +77,6 @@ class Domain:
         pts, single = self._coerce(x)
         proj = self._project(pts)
         return proj[0] if single else proj
-
-    def bounding_box(self):
-        lo, hi = self._bbox()
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
     def random_interior(self, count: int, seed: int, margin: float = 0.0):
         """count points uniform on {x : dist_boundary(x) > margin}, rejection
@@ -139,6 +133,16 @@ def _segment_distance(pts, a, b):
     return d, foot
 
 
+def _project_edges(pts, edges):
+    """A nearest point of the segments edges = [(a, b), ...] to each row of
+    pts (m, 2), with _lex_smallest's tie-breaking."""
+    cands = np.empty((pts.shape[0], len(edges), 2))
+    dists = np.empty((pts.shape[0], len(edges)))
+    for kk, (a, b) in enumerate(edges):
+        dists[:, kk], cands[:, kk, :] = _segment_distance(pts, a, b)
+    return _lex_smallest(cands, dists)
+
+
 class BallDomain(Domain):
     """Open ball {|x - center| < radius}."""
 
@@ -170,7 +174,7 @@ class BallDomain(Domain):
             out[deg] = p
         return out
 
-    def _bbox(self):
+    def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
 
@@ -203,7 +207,7 @@ class BoxDomain(Domain):
                 dists[:, kk] = np.linalg.norm(pts - cands[:, kk, :], axis=1)
         return _lex_smallest(cands, dists)
 
-    def _bbox(self):
+    def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
 
 
@@ -233,15 +237,9 @@ class LShapeDomain(Domain):
         return inside, d
 
     def _project(self, pts):
-        edges = self._EDGES
-        m = pts.shape[0]
-        cands = np.empty((m, len(edges), 2))
-        dists = np.empty((m, len(edges)))
-        for kk, (a, b) in enumerate(edges):
-            dists[:, kk], cands[:, kk, :] = _segment_distance(pts, a, b)
-        return _lex_smallest(cands, dists)
+        return _project_edges(pts, self._EDGES)
 
-    def _bbox(self):
+    def bounding_box(self):
         return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
 
 
@@ -281,7 +279,7 @@ class AnnulusDomain(Domain):
         dists = np.stack([r - self.inner, self.outer - r], axis=1)
         return _lex_smallest(cands, dists)
 
-    def _bbox(self):
+    def bounding_box(self):
         return self.center - self.outer, self.center + self.outer
 
 
@@ -303,9 +301,10 @@ class HexagonDomain(Domain):
         self._normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         self.inradius = self.circumradius * np.sqrt(3.0) / 2.0
         vang = np.deg2rad(60.0 * np.arange(6))
-        self._verts = self.center[None, :] + self.circumradius * np.stack(
+        verts = self.center[None, :] + self.circumradius * np.stack(
             [np.cos(vang), np.sin(vang)], axis=1
         )
+        self._edges = list(zip(verts, np.roll(verts, -1, axis=0)))
 
     def _max_support(self, pts):
         # the largest of the six (x - center) . normal, column by column: a
@@ -327,14 +326,7 @@ class HexagonDomain(Domain):
     def _project(self, pts):
         # segment projection stays correct for exterior queries too, where the
         # perpendicular foot of the nearest edge line can fall past a vertex
-        m = pts.shape[0]
-        cands = np.empty((m, 6, 2))
-        dists = np.empty((m, 6))
-        for kk in range(6):
-            a, b = self._verts[kk], self._verts[(kk + 1) % 6]
-            dists[:, kk], cands[:, kk, :] = _segment_distance(pts, a, b)
-        return _lex_smallest(cands, dists)
+        return _project_edges(pts, self._edges)
 
-    def _bbox(self):
-        r = self.circumradius
-        return self.center - r, self.center + r
+    def bounding_box(self):
+        return self.center - self.circumradius, self.center + self.circumradius

@@ -195,9 +195,6 @@ class StreamBatch:
         ).copy()
         self.position = np.zeros(stream_ids.shape, dtype=np.uint64)
 
-    def __len__(self):
-        return self.stream_ids.shape[0]
-
     def uniforms(self, idx, m: int):
         """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m):
         block j of row i has counter (position[i] + j, substreams[i], 0, 0)."""

@@ -571,7 +571,17 @@ def test_library_rejections_are_config_errors(tmp_path, capsys, over):
      "config error: points.resolution must be an integer, got 'fine'\n"),
     ({"case": {**_inline_ball(1.0), "g": "none"}},
      "config error: exterior data g is required (a field of zeros for g = 0)\n"),
-], ids=["case_name", "n", "count", "seed", "resolution", "g_none"])
+    ({"case": _with_domain({"type": "ball", "center": [0.0, 0.0], "radius": 1.0,
+                            "inner": 0.5})},
+     "config error: unknown keys in case.domain: inner\n"),
+    ({"case": _with_domain({"type": "lshape", "radius": 3.0})},
+     "config error: unknown keys in case.domain: radius\n"),
+    ({"case": _with_domain({"type": "ball", "center": [0.0, 0.0]})},
+     "config error: missing keys in case.domain: radius\n"),
+    ({"case": _with_domain({"type": "circle", "radius": 1.0})},
+     "config error: unknown domain type: 'circle'\n"),
+], ids=["case_name", "n", "count", "seed", "resolution", "g_none", "ball_inner",
+        "lshape_radius", "ball_no_radius", "domain_type"])
 def test_config_error_messages(tmp_path, capsys, over, message):
     cfg = _solve_cfg(tmp_path, **over)
     assert cli.main(["solve", "--config", cfg]) == 2
@@ -623,13 +633,17 @@ def _grid(margin):
     ("field", _grid(True), "points.margin"),
     ("field", _grid("0.2"), "points.margin"),
     ("field", _grid("abc"), "points.margin"),
+    ("solve", {"points": {"type": "list", "values": [[0.0, False]]}}, "points.values"),
+    ("solve", {"points": {"type": "list", "values": [["0.25", 0.0]]}}, "points.values"),
+    ("solve", {"points": {"type": "list", "values": [[0.0, 0.0], [0.5]]}}, "points.values"),
 ], ids=["num_paths_float", "num_paths_bool", "num_paths_string", "seed_float",
         "seed_string", "max_steps_bool", "epsilon_string", "epsilon_bool",
         "count_float", "count_bool", "alpha_string", "ladder_float", "ladder_bool",
         "alphas_string", "radius_bool", "radius_numeric_string", "radius_string",
         "center_entry_string", "center_string", "lo_entry_string", "hi_entry_bool",
         "inner_string", "outer_list", "circumradius_bool", "margin_bool",
-        "margin_numeric_string", "margin_string"])
+        "margin_numeric_string", "margin_string", "values_bool", "values_string",
+        "values_ragged"])
 def test_bad_numbers_name_their_key(tmp_path, capsys, command, over, key):
     # a value that is not the number its key needs is refused, never
     # truncated or read as 0 or 1, and the message names the key

@@ -16,13 +16,21 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
   it walks fewer paths to keep the whole run near a minute;
 * ``run_path`` of path 17 from the first point of each of those runs;
 * ``StreamBatch.uniforms`` across the Philox tile edges: the rows whose
-  blocks meet an edge in full, and a blake2b digest of every draw.
+  blocks meet an edge in full, and a blake2b digest of every draw;
+* ``cli.main``, in process, on each of CLI_RUNS in a temp directory: the
+  exit code, and a blake2b digest of every CSV and of every summary JSON
+  with ``wall_time_s`` dropped and the temp directory cut from its paths;
+  then the exit code and stderr of each of BAD_CONFIGS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest.mock import patch
@@ -31,7 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fracwos import engine, oracle, sampling  # noqa: E402
+from fracwos import cli, engine, oracle, sampling  # noqa: E402
 from fracwos.kernels import make_constants  # noqa: E402
 
 ALPHAS = (0.5, 1.0, 1.9)
@@ -87,10 +95,99 @@ def uniforms():
         print(f"uniforms m={m} all={digest} position={int(batch.position.sum())}")
 
 
+_HEXAGON = {"domain": {"type": "hexagon", "circumradius": 1.2, "center": [0.1, 0.0]},
+            "n": 2, "alpha": 1.3, "f": "constant_source", "g": "one"}
+_LSHAPE = {"domain": {"type": "lshape"}, "n": 2, "alpha": 1.0,
+           "f": "constant_source", "g": "zero"}
+_LIST = {"type": "list", "values": [[0.0, 0.0], [0.5, 0.1], [-0.2, -0.6]]}
+_WALK = {"epsilon": 1e-6, "num_paths": 1000, "seed": 5}
+
+# (name, command, config without "output"); the L-shape grid has exterior,
+# shell and walked nodes
+CLI_RUNS = [
+    ("solve_registry", "solve", {
+        "case": {"name": "disk_inverse_cubic", "alpha": 1.5},
+        "points": {"type": "random", "count": 4, "seed": 3}, "walk": _WALK}),
+    ("solve_hexagon", "solve", {"case": _HEXAGON, "points": _LIST, "walk": _WALK}),
+    ("convergence", "convergence", {
+        "case": "disk_constant_source", "alphas": [0.7, 1.5],
+        "path_ladder": [100, 300, 1000], "points": _LIST, "walk": {"seed": 2}}),
+    ("steps", "steps", {
+        "case": "disk_constant_source", "alphas": [0.6, 1.4],
+        "points": {"type": "random", "count": 5, "seed": 3},
+        "walk": {"num_paths": 500, "seed": 1}}),
+    ("field_lshape", "field", {
+        "case": _LSHAPE, "points": {"type": "grid", "resolution": 7, "margin": 0.1},
+        "walk": {"epsilon": 0.2, "num_paths": 300, "seed": 4}}),
+]
+
+# configs every version refuses with the same message
+BAD_CONFIGS = [
+    ("solve", {"case": "no_such_case", "points": _LIST, "walk": _WALK}),
+    ("solve", {"case": {**_LSHAPE, "n": "two"}, "points": _LIST, "walk": _WALK}),
+    ("solve", {"case": {**_LSHAPE, "g": "none"}, "points": _LIST, "walk": _WALK}),
+    ("solve", {"case": {**_HEXAGON, "domain": {"type": "hexagon", "circumradius": "1"}},
+               "points": _LIST, "walk": _WALK}),
+    ("solve", {"case": {**_HEXAGON, "domain": {"type": "box", "lo": [1.0, 0.0],
+                                               "hi": [0.0, 1.0]}},
+               "points": _LIST, "walk": _WALK}),
+    ("solve", {"case": "disk_constant_source", "points": _LIST,
+               "walk": {**_WALK, "num_paths": 2.5}}),
+    ("solve", {"case": "disk_constant_source", "walk": _WALK,
+               "points": {"type": "list", "values": [[2.0, 0.0]]}}),
+    ("solve", {"case": "disk_constant_source", "walk": _WALK,
+               "points": {"type": "list", "values": []}}),
+    ("solve", {"case": "disk_constant_source", "walk": _WALK, "extra": 1,
+               "points": _LIST}),
+    ("steps", {"case": "disk_constant_source", "alphas": [1.0, 0.01], "points": _LIST,
+               "walk": _WALK}),
+    ("convergence", {"case": "annulus_oscillatory", "path_ladder": [10, 20],
+                     "points": {"type": "random", "count": 2, "seed": 0}}),
+    ("convergence", {"case": "disk_constant_source", "path_ladder": [10, 2.5],
+                     "points": _LIST}),
+    ("field", {"case": "disk_constant_source", "points": _LIST, "walk": _WALK}),
+    ("field", {"case": "disk_constant_source", "walk": _WALK,
+               "points": {"type": "grid", "resolution": 3, "margin": "0.1"}}),
+]
+
+
+def _blake(data):
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _run_cli(tmp, name, command, body):
+    """Exit code and stderr of cli.main on body, written to <tmp>/<name>."""
+    out = Path(tmp) / name
+    config = Path(tmp) / f"{name}.json"
+    config.write_text(json.dumps({**body, "output": str(out / "run")}), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", str(config)])
+    return rc, err.getvalue().replace(tmp, "<tmp>"), out
+
+
+def cli_outputs():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, body in CLI_RUNS:
+            rc, err, out = _run_cli(tmp, name, command, body)
+            print(f"cli {name} exit={rc} stderr={err!r}")
+            for path in sorted(out.glob("*")):
+                data = path.read_bytes()
+                if path.suffix == ".json":
+                    summary = json.loads(data)
+                    del summary["wall_time_s"]
+                    data = json.dumps(summary, sort_keys=True).replace(tmp, "<tmp>").encode()
+                print(f"cli {name} {path.name} {_blake(data)}")
+        for i, (command, body) in enumerate(BAD_CONFIGS):
+            rc, err, out = _run_cli(tmp, f"bad{i}", command, body)
+            print(f"cli bad{i} {command} exit={rc} stderr={err!r} made_dir={out.exists()}")
+
+
 def main():
     warnings.simplefilter("ignore")
     estimates()
     uniforms()
+    cli_outputs()
 
 
 if __name__ == "__main__":
