@@ -532,8 +532,7 @@ def step_bound(n: int, alpha: float, r: float, epsilon: float):
     than the solver)."""
     if not 0 < epsilon < r:
         raise ValueError("need 0 < epsilon < r")
-    if not 0 < alpha < 2:
-        raise ValueError("need 0 < alpha < 2")
+    alpha = _check_alpha(alpha)
     a, b = alpha / 2.0, 1.0 - alpha / 2.0
     tail = float(sc.betainc(a, b, (epsilon / r) ** 2))
     q_star = float(sc.betainc(a, b, ((r - epsilon) / r) ** 2))

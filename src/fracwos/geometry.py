@@ -9,8 +9,8 @@ boundary point with deterministic lexicographic tie-breaking.
 A domain implements one query for both questions a walk step asks of a
 landing point, ``_locate(pts) -> (inside, dist)``: membership, and the
 boundary distance of the rows inside, from one pass.  Membership is its own
-result, not ``dist > 0``: the L-shape's segment distance underflows to 0.0
-at interior points such as (-1e-200, 0.5).
+result, not ``dist > 0``: the L-shape's distance to its cut quadrant
+underflows to 0.0 at interior points such as (-1e-200, 0.5).
 
 Every query accepts a single point of shape (n,) or a batch (m, n) and
 returns scalars or (m,) / (m, n) arrays accordingly.
@@ -227,14 +227,12 @@ class LShapeDomain(Domain):
         self.n = 2
 
     def _locate(self, pts):
-        in_square = np.all((pts > -1.0) & (pts < 1.0), axis=1)
-        in_cut = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0)
-        inside = in_square & ~in_cut
-        # the six segment distances, on the rows inside only
-        own = pts[inside]
-        d = np.zeros(pts.shape[0])
-        d[inside] = np.min([_segment_distance(own, a, b)[0] for a, b in self._EDGES], axis=0)
-        return inside, d
+        # the smaller of the gap to the square and the distance to the cut
+        # quadrant [0,1]^2
+        a = np.abs(pts)
+        inside = np.all(a < 1.0, axis=1) & np.any(pts < 0.0, axis=1)
+        quadrant = np.linalg.norm(np.maximum(-pts, 0.0), axis=1)
+        return inside, np.minimum(1.0 - a.max(axis=1), quadrant)
 
     def _project(self, pts):
         return _project_edges(pts, self._EDGES)
@@ -252,6 +250,8 @@ class AnnulusDomain(Domain):
         self.inner = float(inner)
         self.outer = float(outer)
         self.center = np.asarray(center, dtype=float)
+        if self.center.ndim != 1:
+            raise ValueError("center must be a flat coordinate vector")
         self.n = self.center.shape[0]
 
     def _locate(self, pts):
@@ -296,6 +296,8 @@ class HexagonDomain(Domain):
             raise ValueError("circumradius must be positive")
         self.circumradius = float(circumradius)
         self.center = np.asarray(center, dtype=float)
+        if self.center.shape != (2,):
+            raise ValueError("center must be a flat coordinate vector of length 2")
         self.n = 2
         ang = np.deg2rad(30.0 + 60.0 * np.arange(6))
         self._normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)

@@ -580,8 +580,10 @@ def test_library_rejections_are_config_errors(tmp_path, capsys, over):
      "config error: missing keys in case.domain: radius\n"),
     ({"case": _with_domain({"type": "circle", "radius": 1.0})},
      "config error: unknown domain type: 'circle'\n"),
+    ({"case": _with_domain({"type": "hexagon", "center": [0.0, 0.0, 0.0]})},
+     "config error: center must be a flat coordinate vector of length 2\n"),
 ], ids=["case_name", "n", "count", "seed", "resolution", "g_none", "ball_inner",
-        "lshape_radius", "ball_no_radius", "domain_type"])
+        "lshape_radius", "ball_no_radius", "domain_type", "hexagon_center"])
 def test_config_error_messages(tmp_path, capsys, over, message):
     cfg = _solve_cfg(tmp_path, **over)
     assert cli.main(["solve", "--config", cfg]) == 2

@@ -586,6 +586,10 @@ def test_step_bound_validation():
         step_bound(2, 1.0, 0.5, 0.7)
     with pytest.raises(ValueError):
         step_bound(2, 2.0, 1.0, 1e-3)
+    # the range every other entry point accepts, [ALPHA_MIN, ALPHA_MAX]
+    for alpha in (0.01, 1.99):
+        with pytest.raises(ValueError, match="alpha"):
+            step_bound(2, alpha, 1.0, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,67 @@ def test_lshape_deep_interior_tie():
     assert np.allclose(dom.project_boundary(p), [-1.0, -0.5])
 
 
+def _lshape_six_segments(pts):
+    """The L-shape as a polygon: membership from the square and the closed
+    cut quadrant, distance as the least of the six clipped segment
+    projections, on the rows inside."""
+    in_square = np.all((pts > -1.0) & (pts < 1.0), axis=1)
+    inside = in_square & ~((pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0))
+    own = pts[inside]
+    verts = LShapeDomain._VERTS
+    dists = []
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        ab = b - a
+        t = ((own[:, 0] - a[0]) * ab[0] + (own[:, 1] - a[1]) * ab[1]) / float(ab @ ab)
+        foot = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+        dists.append(np.linalg.norm(own - foot, axis=1))
+    d = np.zeros(pts.shape[0])
+    d[inside] = np.min(dists, axis=0)
+    return inside, d
+
+
+def _lshape_adversarial_rows(m, seed):
+    """Rows whose coordinates carry bits below 2^-52, unlike numpy's uniform
+    draws: walk-like landings (a jump of any scale from trigonometric
+    directions), points within 1e-16 to 1e-1 of each edge on both sides,
+    the re-entrant corner down to 1e-320, and every pair of special values."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2.0 * np.pi, (2, m))
+    unit = np.stack([np.cos(th), np.sin(th)], axis=2)
+    jump = np.exp(-rng.uniform(0.0, 45.0, m))
+    rows = [rng.uniform(-1.1, 1.1, (m, 2)) + jump[:, None] * unit[0]]
+    verts = LShapeDomain._VERTS
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        t = rng.uniform(-0.05, 1.05, m) * (1.0 + math.sqrt(2.0) * 2.0**-45)
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+        gap = 10.0 ** rng.uniform(-16.0, -1.0, m) * rng.choice([-1.0, 1.0], m)
+        rows.append(a + t[:, None] * (b - a) + (gap * np.cos(th[1]))[:, None] * normal)
+    rows.append(10.0 ** rng.uniform(-320.0, -1.0, m)[:, None] * unit[1])
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300,
+               5e-324, -5e-324, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), -0.3]
+    xx, yy = np.meshgrid(special, special)
+    rows.append(np.stack([xx.ravel(), yy.ravel()], axis=1))
+    return np.concatenate(rows)
+
+
+def test_lshape_closed_form_matches_six_segments():
+    # membership is the same on every row; the distance is the same bits
+    # wherever it is at least 2.2e-8, and below that the segment loop's foot
+    # a + t ab, which misses the point by up to 2.2e-16, inflates it, so
+    # there the two agree to 2.2e-16 absolute
+    pts = _lshape_adversarial_rows(20000, seed=14)
+    with np.errstate(invalid="ignore"):
+        ref_in, ref_d = _lshape_six_segments(pts)
+        inside, d = LShapeDomain()._locate(pts)
+    assert np.array_equal(inside, ref_in)
+    assert 0.3 * len(pts) < np.count_nonzero(inside) < 0.7 * len(pts)
+    far = inside & (ref_d >= 2.2e-8)
+    assert np.array_equal(d[far], ref_d[far])
+    near = inside & ~far
+    assert np.count_nonzero(near) > 1000
+    assert np.max(np.abs(d[near] - ref_d[near])) <= 2.2e-16
+
+
 # ---------------------------------------------------------------------------
 # annulus
 
@@ -269,6 +330,10 @@ def test_annulus_validation():
         AnnulusDomain(1.0, 0.5)
     with pytest.raises(ValueError):
         AnnulusDomain(0.0, 1.0)
+    with pytest.raises(ValueError, match="center"):
+        AnnulusDomain(0.3, 1.0, center=[[0.0, 0.0]])
+    with pytest.raises(ValueError, match="center"):
+        AnnulusDomain(0.3, 1.0, center=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +367,14 @@ def test_hexagon_center_six_way_tie():
 def test_hexagon_exterior_projection_clips_to_vertex():
     dom = HexagonDomain(1.0)
     assert np.allclose(dom.project_boundary(np.array([2.0, 0.0])), [1.0, 0.0])
+
+
+def test_hexagon_validation():
+    with pytest.raises(ValueError, match="circumradius"):
+        HexagonDomain(0.0)
+    for center in ((0.0,), (0.0, 0.0, 0.0), [[0.0, 0.0]], 0.0):
+        with pytest.raises(ValueError, match="center"):
+            HexagonDomain(1.0, center=center)
 
 
 def test_hexagon_shifted_and_scaled():

@@ -20,7 +20,10 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
 * ``cli.main``, in process, on each of CLI_RUNS in a temp directory: the
   exit code, and a blake2b digest of every CSV and of every summary JSON
   with ``wall_time_s`` dropped and the temp directory cut from its paths;
-  then the exit code and stderr of each of BAD_CONFIGS.
+  then the exit code and stderr of each of BAD_CONFIGS;
+* for each of DOMAINS, on the rows of ``_geometry_rows``: blake2b digests
+  of ``_locate``'s membership, of its distance on the rows inside at least
+  MIN_DIST from the boundary, and of ``project_boundary``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fracwos import cli, engine, oracle, sampling  # noqa: E402
+from fracwos.geometry import (  # noqa: E402
+    AnnulusDomain,
+    BallDomain,
+    BoxDomain,
+    HexagonDomain,
+    LShapeDomain,
+)
 from fracwos.kernels import make_constants  # noqa: E402
 
 ALPHAS = (0.5, 1.0, 1.9)
@@ -183,11 +193,60 @@ def cli_outputs():
             print(f"cli bad{i} {command} exit={rc} stderr={err!r} made_dir={out.exists()}")
 
 
+# the domains of tests/test_geometry.py::_all_domains, copied so that the
+# output of one commit does not move when a later commit edits that list
+DOMAINS = [
+    BallDomain(np.zeros(2), 1.0),
+    BallDomain(np.array([1.0, -2.0, 0.5]), 2.5),
+    BallDomain(np.zeros(10), 1.0),
+    BoxDomain([-5.0, -0.5], [5.0, 0.5]),
+    BoxDomain([-1.0, -1.0, -1.0], [1.0, 2.0, 3.0]),
+    LShapeDomain(),
+    AnnulusDomain(np.sqrt(0.3), 1.0),
+    HexagonDomain(1.0),
+    HexagonDomain(2.0, center=(1.0, 1.0)),
+]
+CLOUD = 20000
+CLOUD_SEED = 1414
+# distances below this are left out: there a change of formula may move the
+# last bits (the L-shape's closed form against its segment loop, below 2.2e-8)
+MIN_DIST = 1e-7
+
+
+def _geometry_rows(dom):
+    """A cloud over the bounding box grown by 10% on each side, with
+    normal noise of scale 1e-3 so that its coordinates carry bits below the
+    2^-52 lattice of numpy's uniform draws; then, for the cloud's inside
+    rows x with nearest boundary point p, the rows p +- t (x - p) for t in
+    1e-1, 1e-4, 1e-7 and 1e-10."""
+    rng = np.random.default_rng(CLOUD_SEED)
+    lo, hi = dom.bounding_box()
+    grow = 0.1 * (hi - lo)
+    cloud = rng.uniform(lo - grow, hi + grow, (CLOUD, dom.n))
+    cloud += 1e-3 * rng.standard_normal((CLOUD, dom.n))
+    x = cloud[dom._locate(cloud)[0]]
+    p = dom.project_boundary(x)
+    near = [p + s * t * (x - p) for t in (1e-1, 1e-4, 1e-7, 1e-10) for s in (1.0, -1.0)]
+    return np.concatenate([cloud, *near])
+
+
+def geometry():
+    for dom in DOMAINS:
+        pts = _geometry_rows(dom)
+        inside, dist = dom._locate(pts)
+        far = inside & (dist >= MIN_DIST)
+        print(f"geometry {type(dom).__name__}{dom.n} rows={len(pts)} "
+              f"inside={int(inside.sum())} far={int(far.sum())} "
+              f"membership={_blake(inside.tobytes())} dist={_blake(dist[far].tobytes())} "
+              f"project={_blake(dom.project_boundary(pts).tobytes())}")
+
+
 def main():
     warnings.simplefilter("ignore")
     estimates()
     uniforms()
     cli_outputs()
+    geometry()
 
 
 if __name__ == "__main__":
