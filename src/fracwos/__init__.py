@@ -7,7 +7,6 @@ Paths jump between inscribed balls using the exact exit law of the ball
 source sample weighted by the ball's Green mass.
 
 Modules:
-    specfun   - hypergeometric wrappers for the oracle's sources
     kernels   - ball Green function / exit kernel, radial laws, constants
     sampling  - Philox streams per path, Box-Muller, exit-radius transform,
                 interior acceptance probability
@@ -17,6 +16,6 @@ Modules:
     cli       - config-driven experiment runner (`fracwos` entry point)
 """
 
-from . import specfun, kernels, sampling, geometry, engine, oracle  # noqa: F401
+from . import kernels, sampling, geometry, engine, oracle  # noqa: F401
 
 __version__ = "0.1.0"

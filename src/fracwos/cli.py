@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -97,11 +98,14 @@ def _as_int(value, key):
 
 
 def _as_float(value, key):
-    """value as a float: a JSON number.  Anything else (a bool, a string)
-    is a ValueError naming the key."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    """value as a float: a finite JSON number.  Anything else (a bool, a
+    string, or the NaN and infinities that Python's json parses) is a
+    ValueError naming the key."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _as_floats(value, key):

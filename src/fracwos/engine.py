@@ -36,7 +36,7 @@ result bit, is that of any other field returning the same constant.
 The walk is one wavefront of rows (_walk).  Each row holds one (point,
 path) pair, with the pair's own stream id and substream, and the pairs are
 issued in the flat order k = p * num_paths + i.  A row whose path ends
-(exit, shell or step cap) hands over its score and is refilled with the
+(exit, shell or step cap) is yielded with its score and refilled with the
 next pending pair, from that point's start and counter 0.  So a path
 replays bit-identically alone (run_path), at any wavefront width and next
 to any other points.  Each point's scores land in a full array indexed by
@@ -266,14 +266,15 @@ def _unit_rows(z):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _walk(problem, config, constants, starts, span, width, land):
-    """Walk the (point, path) pairs k = p * num_paths + i for k in range(*span)
-    on a wavefront of at most `width` rows; path i of start point p draws
-    from the stream (seed, i, point_substream(starts[p])).
+def _walk(problem, config, constants, starts, span=None):
+    """Walk the (point, path) pairs k = p * num_paths + i for k in range(*span),
+    by default every pair of every start point, on a wavefront of at most
+    _WAVEFRONT rows; path i of start point p draws from the stream
+    (seed, i, point_substream(starts[p])).
 
-    After each step the paths that ended go to land(k, score, steps,
-    dropped, exit_pt, shell), one array entry per path, and their rows are
-    refilled with the next pending pairs in k order."""
+    A generator: after each step it yields (k, score, steps, dropped,
+    exit_pt, shell) for the paths that ended, one array entry per path, and
+    then refills their rows with the next pending pairs in k order."""
     dom = problem.domain
     n, alpha = problem.n, problem.alpha
     N = config.num_paths
@@ -291,13 +292,11 @@ def _walk(problem, config, constants, starts, span, width, land):
     exit_dir = dir_words if f is not None else 0
     exit_word = exit_dir + dir_words
 
-    nxt, stop = span
-    p0 = nxt // N  # the span's start points are starts[p0:], keyed once
-    own = starts[p0 : (stop - 1) // N + 1]
-    subs = np.array([sampling.point_substream(p) for p in own], dtype=np.uint64)
-    r0 = dom.dist_boundary(own)
+    nxt, stop = span if span is not None else (0, starts.shape[0] * N)
+    subs = np.array([sampling.point_substream(p) for p in starts], dtype=np.uint64)
+    r0 = dom.dist_boundary(starts)
 
-    m = min(width, stop - nxt)
+    m = min(_WAVEFRONT, stop - nxt)
     batch = sampling.StreamBatch(config.seed, np.zeros(m, dtype=np.uint64))
     # per row: its pair, state and outcome; r_all carries the live distance
     pair, steps = np.zeros((2, m), dtype=np.int64)
@@ -314,9 +313,8 @@ def _walk(problem, config, constants, starts, span, width, land):
         k = np.arange(nxt, nxt + rows.size)
         nxt += rows.size
         p, i = np.divmod(k, N)
-        p -= p0
         pair[rows] = k
-        x[rows] = own[p]
+        x[rows] = starts[p]
         r_all[rows] = r0[p]
         acc[rows] = 0.0
         steps[rows] = 0
@@ -377,8 +375,8 @@ def _walk(problem, config, constants, starts, span, width, land):
 
         ended = li[~live[li]]
         if ended.size:
-            land(pair[ended], score[ended], steps[ended], dropped[ended],
-                 exit_pt[ended], shell[ended])
+            yield (pair[ended], score[ended], steps[ended], dropped[ended],
+                   exit_pt[ended], shell[ended])
             refill(ended)
 
 
@@ -404,12 +402,10 @@ def run_path(problem, config, constants, x0, path_idx: int) -> PathRealization:
     """Run a single path; bit-identical to path path_idx of estimate_point."""
     _check_consistency(problem, constants)
     start = check_starts(problem, config, np.reshape(x0, (1, -1)))
-    ended = []
     # the one pair k = path_idx of a single point with path_idx + 1 paths
     one = dataclasses.replace(config, num_paths=path_idx + 1)
-    _walk(problem, one, constants, start, (path_idx, path_idx + 1), 1,
-          lambda *landed: ended.append(landed))
-    _, score, steps, dropped, exit_pt, shell = ended[0]
+    _, score, steps, dropped, exit_pt, shell = next(
+        _walk(problem, one, constants, start, (path_idx, path_idx + 1)))
     if dropped[0]:
         raise StepCapExceeded(f"path {path_idx} exceeded {config.max_steps} steps")
     return PathRealization(
@@ -496,7 +492,7 @@ def estimate_field(problem, config, constants, points: Sequence) -> list[Estimat
     out = [None] * pts.shape[0]
     open_points = {}  # p -> [scores, steps, dropped, paths still walking]
 
-    def land(k, score, steps, dropped, exit_pt, shell):
+    for k, score, steps, dropped, _, _ in _walk(problem, config, constants, pts):
         p, i = np.divmod(k, N)
         for q in np.unique(p).tolist():
             at = p == q
@@ -509,8 +505,6 @@ def estimate_field(problem, config, constants, points: Sequence) -> list[Estimat
             if slot[3] == 0:
                 del open_points[q]
                 out[q] = _reduce(config, *slot[:3])
-
-    _walk(problem, config, constants, pts, (0, pts.shape[0] * N), _WAVEFRONT, land)
     return out
 
 

@@ -37,7 +37,6 @@ from .geometry import (
     LShapeDomain,
 )
 from .kernels import make_constants
-from .specfun import hyp1f1, hyp2f1
 
 __all__ = ["CASE_NAMES", "ExactCase", "ball_solution_quadrature", "constant_source",
            "exact_registry", "make_case"]
@@ -240,6 +239,12 @@ def _r2(x):
 _ZERO = ConstantField(0.0)
 
 
+def _dot(x, c):
+    """x @ c for (m, 2) rows x, column by column: a matrix product sums in an
+    order that depends on the row count, and a point's bits must not."""
+    return x[:, 0] * c[0] + x[:, 1] * c[1]
+
+
 def _signed_power(base, p: float):
     """Fractional power extended to negative bases as sign(b)*|b|^p."""
     base = np.asarray(base, dtype=float)
@@ -280,7 +285,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         c = math.gamma(2.0 + alpha)
 
         def f(x, c=c, alpha=alpha):
-            return c * hyp2f1((2.0 + alpha) / 2.0, (3.0 + alpha) / 2.0, 1.0, -_r2(x))
+            return c * sc.hyp2f1((2.0 + alpha) / 2.0, (3.0 + alpha) / 2.0, 1.0, -_r2(x))
 
         def u(x):
             return (1.0 + _r2(x)) ** -1.5
@@ -299,7 +304,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         c = 2.0**alpha * math.gamma(1.0 + alpha / 2.0)
 
         def f(x, c=c, alpha=alpha):
-            return c * hyp1f1((2.0 + alpha) / 2.0, 1.0, -_r2(x))
+            return c * sc.hyp1f1((2.0 + alpha) / 2.0, 1.0, -_r2(x))
 
         def u(x):
             return np.exp(-_r2(x))
@@ -314,8 +319,8 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
 
         def f(x, amp=amp, alpha=alpha, c1=c1, c2=c2):
             x = np.atleast_2d(np.asarray(x, dtype=float))
-            osc = _signed_power(np.cos(x @ c2), alpha / 3.0) + _signed_power(
-                np.sin(x @ c1), alpha / 2.0
+            osc = _signed_power(np.cos(_dot(x, c2)), alpha / 3.0) + _signed_power(
+                np.sin(_dot(x, c1)), alpha / 2.0
             )
             return amp * osc * np.cos(-_r2(x))
 
@@ -330,8 +335,8 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         def f(x, alpha=alpha, c1=c1, c2=c2):
             x = np.atleast_2d(np.asarray(x, dtype=float))
             return (
-                np.sin(x @ c1) ** 2
-                + np.cos(x @ c2) ** 2
+                np.sin(_dot(x, c1)) ** 2
+                + np.cos(_dot(x, c2)) ** 2
                 - (alpha * x[:, 0] * x[:, 1]) ** 3
             )
 

@@ -24,7 +24,7 @@ import pathlib
 
 import numpy as np
 from beta_reference import BetaParams, beta, inc_beta
-from scipy.special import betaincinv
+from scipy.special import betaincinv, hyp1f1, hyp2f1
 from zeta_reference import gauss_jacobi_rule, zeta_unit_quadrature
 
 from fracwos import sampling
@@ -47,7 +47,6 @@ from fracwos.oracle import (
     constant_source,
     make_case,
 )
-from fracwos.specfun import hyp1f1, hyp2f1
 
 _DATA = pathlib.Path(__file__).parent / "data"
 # asymptotic two-sided critical value of sqrt(N) * D_N at the 1% level

@@ -638,6 +638,11 @@ def _grid(margin):
     ("solve", {"points": {"type": "list", "values": [[0.0, False]]}}, "points.values"),
     ("solve", {"points": {"type": "list", "values": [["0.25", 0.0]]}}, "points.values"),
     ("solve", {"points": {"type": "list", "values": [[0.0, 0.0], [0.5]]}}, "points.values"),
+    ("field", _grid(math.nan), "points.margin"),
+    ("field", _grid(math.inf), "points.margin"),
+    ("solve", _domain(type="ball", center=[0.0, 0.0], radius=math.inf),
+     "case.domain.radius"),
+    ("solve", _domain(type="box", lo=[-math.inf, -1.0], hi=[1.0, 1.0]), "case.domain.lo"),
 ], ids=["num_paths_float", "num_paths_bool", "num_paths_string", "seed_float",
         "seed_string", "max_steps_bool", "epsilon_string", "epsilon_bool",
         "count_float", "count_bool", "alpha_string", "ladder_float", "ladder_bool",
@@ -645,7 +650,7 @@ def _grid(margin):
         "center_entry_string", "center_string", "lo_entry_string", "hi_entry_bool",
         "inner_string", "outer_list", "circumradius_bool", "margin_bool",
         "margin_numeric_string", "margin_string", "values_bool", "values_string",
-        "values_ragged"])
+        "values_ragged", "margin_nan", "margin_inf", "radius_inf", "lo_minus_inf"])
 def test_bad_numbers_name_their_key(tmp_path, capsys, command, over, key):
     # a value that is not the number its key needs is refused, never
     # truncated or read as 0 or 1, and the message names the key

@@ -258,9 +258,10 @@ def test_replay_under_any_chunking(chunk, i):
     assert est == _replay_base()
     # path i alone equals path i inside a wavefront of width chunk over its chunk
     a = i - i % chunk
-    landed = []
-    _walk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0[None, :],
-          (a, min(a + chunk, _REPLAY_N)), chunk, lambda *batch: landed.append(batch[:3]))
+    with patch.object(engine, "_WAVEFRONT", chunk):
+        landed = [batch[:3] for batch in _walk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K,
+                                               _REPLAY_X0[None, :],
+                                               (a, min(a + chunk, _REPLAY_N)))]
     pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
     at = np.flatnonzero(pairs == i)[0]
     path = run_path(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, i)
@@ -278,10 +279,11 @@ def test_hexagon_paths_replay_at_any_width():
     x0 = np.array([0.3, 0.1])
     walks = []
     for width in (1, 7, 16384):
-        landed = []
-        _walk(prob, cfg, k, x0[None, :], (0, cfg.num_paths), width,
-              lambda *batch: landed.append(batch[:3]))
+        with patch.object(engine, "_WAVEFRONT", width):
+            landed = [batch[:3] for batch in _walk(prob, cfg, k, x0[None, :])]
         pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
+        # every pair is yielded exactly once
+        assert np.array_equal(np.sort(pairs), np.arange(cfg.num_paths))
         order = np.argsort(pairs)
         walks.append((scores[order], steps[order]))
     scores, steps = walks[0]

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from fracwos.engine import ProblemSpec, WalkConfig, estimate_point
+from fracwos.engine import ProblemSpec, WalkConfig, _walk, estimate_point, run_path
 from fracwos.geometry import BallDomain, LShapeDomain
 from fracwos.kernels import make_constants
 from fracwos.oracle import (
@@ -72,6 +72,37 @@ def test_registry_exact_solutions_present_where_expected():
 def test_unknown_case_name():
     with pytest.raises(KeyError):
         make_case("no_such_case")
+
+
+def test_fields_and_registry_paths_do_not_depend_on_the_batch():
+    # a point's f, g and u_exact bits must not depend on the rows it is
+    # evaluated with, or run_path (one row) would not replay a path walked
+    # in a wavefront; rows carry bits below numpy's 2^-52 uniform lattice
+    rng = np.random.default_rng(2718)
+    for name in _CASE_NAMES:
+        case = make_case(name, 1.5)
+        pts = rng.uniform(-1.2, 1.2, (2000, case.n))
+        pts += 1e-3 * rng.standard_normal(pts.shape)
+        for field in (case.f, case.g, case.u_exact):
+            if field is None:
+                continue
+            whole = field(pts)
+            for size in (1, 2, 3, 7, 16, 100):
+                parts = np.concatenate([field(pts[a:a + size])
+                                        for a in range(0, len(pts), size)])
+                assert np.array_equal(parts, whole), (name, size)
+    # the two registry sources with a linear phase, walked from a point of
+    # each: every seventh path alone equals its score in the wavefront
+    cfg = WalkConfig(epsilon=1e-4, num_paths=400, seed=5)
+    for name, x0 in (("hexagon_oscillatory", (0.3, 0.1)),
+                     ("stripe_oscillatory", (0.5, 0.1))):
+        case = make_case(name, 1.5)
+        prob, k, x0 = case.problem(), make_constants(2, 1.5), np.array(x0)
+        scores = np.empty(cfg.num_paths)
+        for pairs, score, *_ in _walk(prob, cfg, k, x0[None, :]):
+            scores[pairs] = score
+        for i in range(0, cfg.num_paths, 7):
+            assert run_path(prob, cfg, k, x0, i).score == scores[i], (name, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Special-function wrappers against frozen multiprecision references.
+"""scipy's special functions against frozen multiprecision references.
 
-The reference file tests/data/hyp_reference.json was generated once with
-mpmath at 60 digits (tools/gen_reference_values.py) and is checked in, so
-these tests never need network access or mpmath at runtime.  Also
+scipy.special.hyp2f1 and hyp1f1, which the manufactured sources of
+disk_inverse_cubic and lshape_gaussian call (oracle), are checked on the
+nonpositive real axis those sources use against
+tests/data/hyp_reference.json.  The file was generated once with mpmath at
+60 digits (tools/gen_reference_values.py) and is checked in, so these
+tests never need network access or mpmath at runtime.  Also
 checked here: scipy's inverse regularized incomplete Beta (betaincinv) on
 the parameters (alpha/2, 1 - alpha/2) of the exit law, which the solver
 inverts for every exit radius, and the Gauss-Jacobi rule of the test-side
@@ -17,10 +20,8 @@ import pytest
 from beta_reference import BetaParams, beta, inc_beta
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betaincinv
+from scipy.special import betaincinv, hyp1f1, hyp2f1
 from zeta_reference import gauss_jacobi_rule
-
-from fracwos.specfun import hyp1f1, hyp2f1
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -72,17 +73,6 @@ def test_hyp2f1_log_special_case():
 def test_hyp1f1_exponential_special_case():
     # 1F1(1; 2; z) = (e^z - 1)/z
     assert _close(hyp1f1(1.0, 2.0, -1.0), 1.0 - np.exp(-1.0), 1e-13)
-
-
-def test_hyp_domain_and_parameter_errors():
-    with pytest.raises(ValueError):
-        hyp2f1(0.5, 0.5, 1.0, 0.25)
-    with pytest.raises(ValueError):
-        hyp1f1(0.5, 1.0, 1e-9)
-    with pytest.raises(ValueError):
-        hyp2f1(0.5, 0.5, -1.0, -1.0)
-    with pytest.raises(ValueError):
-        hyp1f1(0.5, 0.0, -1.0)
 
 
 def test_hyp_vectorized_matches_scalar():

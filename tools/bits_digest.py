@@ -23,7 +23,10 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
   then the exit code and stderr of each of BAD_CONFIGS;
 * for each of DOMAINS, on the rows of ``_geometry_rows``: blake2b digests
   of ``_locate``'s membership, of its distance on the rows inside at least
-  MIN_DIST from the boundary, and of ``project_boundary``.
+  MIN_DIST from the boundary, and of ``project_boundary``;
+* for every case of ``oracle.CASE_NAMES`` at each alpha in ALPHAS, on a
+  cloud of FIELD_ROWS rows (``_field_rows``): blake2b digests of f, g and
+  ``u_exact`` evaluated on the whole cloud in one call.
 """
 
 from __future__ import annotations
@@ -241,12 +244,39 @@ def geometry():
               f"project={_blake(dom.project_boundary(pts).tobytes())}")
 
 
+FIELD_ROWS = 2000
+FIELD_SEED = 1732
+
+
+def _field_rows(case):
+    """A cloud over the case's bounding box grown by 10% on each side, with
+    the normal noise of _geometry_rows so that its coordinates carry bits
+    below the 2^-52 lattice of numpy's uniform draws."""
+    rng = np.random.default_rng(FIELD_SEED)
+    lo, hi = case.domain.bounding_box()
+    grow = 0.1 * (hi - lo)
+    cloud = rng.uniform(lo - grow, hi + grow, (FIELD_ROWS, case.n))
+    return cloud + 1e-3 * rng.standard_normal((FIELD_ROWS, case.n))
+
+
+def fields():
+    for name in oracle.CASE_NAMES:
+        for alpha in ALPHAS:
+            case = oracle.make_case(name, alpha)
+            pts = _field_rows(case)
+            digests = " ".join(
+                f"{label}={'-' if fn is None else _blake(np.asarray(fn(pts)).tobytes())}"
+                for label, fn in (("f", case.f), ("g", case.g), ("u_exact", case.u_exact)))
+            print(f"fields {name} alpha={alpha} rows={FIELD_ROWS} {digests}")
+
+
 def main():
     warnings.simplefilter("ignore")
     estimates()
     uniforms()
     cli_outputs()
     geometry()
+    fields()
 
 
 if __name__ == "__main__":
