@@ -103,7 +103,11 @@ def _as_float(value, key):
     ValueError naming the key."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 

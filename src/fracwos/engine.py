@@ -12,27 +12,21 @@ or inside the epsilon-shell along the boundary (score = acc + g(projected
 point)).  The estimate at x0 is the sample mean of the path scores.
 
 Reproducibility contract: path i at start point x0 draws from the addressed
-stream (seed, stream_id = i, substream = hash(x0)) from counter 0,
-consuming counter blocks per step in a fixed order:
+stream (seed, stream_id = i, substream = hash(x0)) from counter 0.  Each
+step makes one StreamBatch.uniforms call and reads a fixed layout of its
+words; with d = 2 * ceil(n/2), the words of n Box-Muller normals:
 
-    1. interior-radius rejection, two proposals per block     (f given)
-    2. interior direction, n Gaussians in whole blocks          (f given)
-    3. exit direction, n Gaussians in whole blocks
-    4. exit radius, the first word of one block
+    ux, ut, uv                    interior radius, 3 words        (f given)
+    interior direction            d words                         (f given)
+    exit direction                d words
+    exit radius                   1 word
 
-Draws 2-4 come from one Philox call per step.  Rejection rounds may draw
-blocks ahead of the accepted proposal, but a path's counter only advances
-past the blocks it consumed, so the next draw starts right after them.
-Each proposal is accepted or rejected from the squeeze bounds of its cell
-of the proposal uniform, and against the exact acceptance probability
-(a betainc) only when it falls between them; the bounds are padded so that
-both routes decide alike, so the draw order and the counter positions are
-those of the exact test.
-With a constant source (ConstantField) the step reads no Y: its term is
-r_k^alpha * zeta_unit * value.  Draw 1 still runs, because its block count
-places draws 3-4, but block 2 is skipped: the counter moves past it without
-generating it, and the Philox call draws 3-4 only.  So the stream, and every
-result bit, is that of any other field returning the same constant.
+so a step consumes ceil((2d + 4) / 4) blocks with a source f and
+ceil((d + 1) / 4) without, and a path's counter is never rewound or
+skipped.  A constant source (ConstantField) reads no Y: its term is
+r_k^alpha * zeta_unit * value and its step draws the words of the f = None
+walk, so it walks the f = None trajectory.
+
 The walk is one wavefront of rows (_walk).  Each row holds one (point,
 path) pair, with the pair's own stream id and substream, and the pairs are
 issued in the flat order k = p * num_paths + i.  A row whose path ends
@@ -47,7 +41,6 @@ keeps the reduction independent of the width as well.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -75,11 +68,6 @@ __all__ = [
 ]
 
 _WAVEFRONT = 16384  # rows walked in lockstep
-_REJECTION_CAP = 500_000  # blocks per interior radius, two proposals each
-# Interior rejection squeeze: cells of the proposal uniform (a power of two)
-# and the relative padding of their acceptance bounds.
-_SQUEEZE_CELLS = 1024
-_SQUEEZE_PAD = 1e-9
 
 
 class StepCapExceeded(RuntimeError):
@@ -91,8 +79,9 @@ class ConstantField:
     """The batch field x -> value: f(pts) returns an (m,) array of value.
 
     Any caller can use it as a plain field.  As the source of a walk it lets
-    the walk skip the interior sample, whose value nothing reads, with the
-    result bits of any other field returning the same array."""
+    the walk skip the interior sample, whose value nothing reads: the walk
+    draws no interior words and follows the trajectory of the f = None walk
+    (see the module docstring)."""
 
     value: float
 
@@ -112,7 +101,7 @@ class ProblemSpec:
     means f == 0); g is evaluated on the complement, boundary included, and
     must be evaluable arbitrarily far out because the jump law is
     heavy-tailed.  A ConstantField source spares the walk its interior
-    sample, with the same result bits (see the module docstring).
+    sample (see the module docstring).
     """
 
     n: int
@@ -197,69 +186,11 @@ def _check_consistency(problem: ProblemSpec, constants: KernelConstants):
         raise ValueError("constants were built for a different (n, alpha)")
 
 
-@functools.lru_cache(maxsize=64)
-def _interior_squeeze(n: int, alpha: float):
-    """Padded squeeze bounds (lo, hi) on the interior acceptance probability.
-
-    Cell j of the proposal uniform u holds j/K <= u < (j+1)/K, so s = u^(1/alpha)
-    lies between the cell's edge radii and, p being decreasing, p(s) between
-    the acceptance probabilities at those edges: lo[j] <= p(s) <= hi[j] once
-    both are padded by a relative _SQUEEZE_PAD against rounding in pow and
-    betainc.  K is a power of two, so u * K is exact."""
-    edges = np.arange(_SQUEEZE_CELLS + 1) / _SQUEEZE_CELLS
-    t = sampling.interior_accept_prob(edges ** (1.0 / alpha), n, alpha)
-    lo = t[1:] * (1.0 - _SQUEEZE_PAD)
-    hi = t[:-1] * (1.0 + _SQUEEZE_PAD)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi
-
-
 def _batch_interior_radii(batch: sampling.StreamBatch, idx, n: int, alpha: float):
-    """Per-path rejection sampling of the interior radial coordinate.
-
-    A counter block holds two proposal/acceptance pairs, tested in order;
-    the first accepted proposal wins.  Round k draws 2^k blocks at once for
-    each pending path, and each path's counter is then set to the blocks up
-    to its accepted proposal, so blocks drawn past it are never consumed.
-
-    Every proposal of a round is decided at once by the squeeze bounds of
-    its cell (_interior_squeeze): accepted below lo, rejected above hi, and
-    tested against the exact acceptance probability only in between, which
-    happens to 1/K of the proposals.  The decisions, and so the draws, are
-    those of the exact test."""
-    lo, hi = _interior_squeeze(n, alpha)
-    out = np.empty(idx.shape[0])
-    pending = np.arange(idx.shape[0])
-    inv_alpha = 1.0 / alpha
-    drawn = 0
-    nblocks = 1
-    while pending.size:
-        if drawn >= _REJECTION_CAP:
-            raise RuntimeError("interior radius rejection exceeded the proposal cap")
-        nblocks = min(nblocks, _REJECTION_CAP - drawn)
-        rows = idx[pending]
-        start = batch.position[rows]
-        u = batch.uniforms(rows, 4 * nblocks)
-        prop, test = u[:, 0::2], u[:, 1::2]  # proposal q of each row in column q
-        cell = (prop * _SQUEEZE_CELLS).astype(np.intp)
-        ok = test <= lo[cell]
-        band = test <= hi[cell]
-        band ^= ok  # between the bounds: lo < test <= hi
-        if band.any():
-            s = prop[band] ** inv_alpha
-            ok[band] = test[band] <= sampling.interior_accept_prob(s, n, alpha)
-        first = ok.argmax(axis=1)
-        accepted = ok[np.arange(first.size), first]
-        hit = np.flatnonzero(accepted)
-        q = first[hit]
-        out[pending[hit]] = prop[hit, q] ** inv_alpha
-        # uniforms() advanced every row by nblocks; a row that accepted
-        # proposal q consumed only the blocks up to it
-        batch.position[rows[hit]] = start[hit] + (q // 2 + 1).astype(np.uint64)
-        pending = pending[~accepted]
-        drawn += nblocks
-        nblocks *= 2
-    return out
+    """Interior radial coordinates of the paths idx, from three words each
+    of their streams through sampling.interior_radius_from_uniforms."""
+    u = batch.uniforms(idx, 3)
+    return sampling.interior_radius_from_uniforms(n, alpha, u[:, 0], u[:, 1], u[:, 2])
 
 
 def _unit_rows(z):
@@ -279,17 +210,15 @@ def _walk(problem, config, constants, starts, span=None):
     n, alpha = problem.n, problem.alpha
     N = config.num_paths
     zeta_unit = constants.zeta_unit
-    source = problem.f is not None  # draw 1 runs
-    # a constant source is never called: f stays None and draw 2 is skipped
-    constant = isinstance(problem.f, ConstantField)
-    f = _FieldEval(problem.f) if source and not constant else None
+    # a constant source is never called: its term is added without a Y
+    constant = problem.f.value if isinstance(problem.f, ConstantField) else None
+    f = None if problem.f is None or constant is not None else _FieldEval(problem.f)
     g = _FieldEval(problem.g)
 
-    # words of the fixed draws 2-4, one Philox call per step: a direction's
-    # 2 * ceil(n/2) uniforms fill ceil(n/4) whole blocks, and the exit radius
-    # takes the first word of one more
-    dir_words = 4 * -(-n // 4)
-    exit_dir = dir_words if f is not None else 0
+    # the step's words (module docstring): [ux, ut, uv, Y's direction] with
+    # f, then the exit direction and the exit radius
+    dir_words = 2 * -(-n // 2)
+    exit_dir = 3 + dir_words if f is not None else 0
     exit_word = exit_dir + dir_words
 
     nxt, stop = span if span is not None else (0, starts.shape[0] * N)
@@ -330,16 +259,14 @@ def _walk(problem, config, constants, starts, span=None):
         xa = x[li]
         r = r_all[li]
 
-        if source:
-            s = _batch_interior_radii(batch, li, n, alpha)
-        if constant:
-            batch.position[li] += np.uint64(dir_words // 4)
-            acc[li] += (r**alpha) * zeta_unit * problem.f.value
-        u = batch.uniforms(li, exit_word + 4)
+        u = batch.uniforms(li, exit_word + 1)
         if f is not None:
-            ydir = _unit_rows(sampling.box_muller(u, n))
+            s = sampling.interior_radius_from_uniforms(n, alpha, u[:, 0], u[:, 1], u[:, 2])
+            ydir = _unit_rows(sampling.box_muller(u[:, 3:], n))
             y = xa + (r * s)[:, None] * ydir
             acc[li] += (r**alpha) * zeta_unit * f(y)
+        elif constant is not None:
+            acc[li] += (r**alpha) * zeta_unit * constant
 
         theta = _unit_rows(sampling.box_muller(u[:, exit_dir:], n))
         gamma = sampling.exit_radius_from_uniform(r, alpha, u[:, exit_word])

@@ -22,25 +22,31 @@ _philox_tiles assigns from a flat block list, _TILE_BLOCKS at a time.
   jump CDF is F(gamma) = 1 - I_{r^2/gamma^2}(alpha/2, 1-alpha/2); inverting
   the complement with u uniform is equivalent because 1-u is also uniform.
   The tail is P(gamma > G) ~ G^(-alpha), the stable index.)  At alpha = 1
-  the inverse is scipy's betaincinv (the arcsine law, which scipy inverts
-  fast).  At alpha != 1 it comes from a per-alpha table (Devroye 1986,
-  ch. II), built on first use and cached: with a = alpha/2, b = 1 - a and
-  u* = I_{1/2}(a, b), it holds x for u <= u* and 1 - x above, whichever is
-  <= 1/2, each as w * G(w) where w = (u a B(a, b))^(1/a) (resp. 1 - u, b)
-  is the leading power law of that tail and G a Chebyshev polynomial in
-  w.  The build checks the table against betaincinv between its nodes and
-  over the whole u range, and raises RuntimeError if the relative error of
-  gamma exceeds _EXIT_TABLE_TOL = 1e-11.
-* ``interior_accept_prob`` - the acceptance probability of the interior
-  (source) radius.  Its radial density s^(alpha-1) w(s) / Z on (0, 1) is
-  sampled by rejection from the proposal alpha * s^(alpha-1) (s = U^(1/alpha))
-  with acceptance w(s)/w(0+) = I_{1-s^2}(alpha/2, (n-alpha)/2), a provable
-  envelope because w is decreasing.  The rejection loop itself is
-  engine._batch_interior_radii.  It settles almost every proposal from a
-  squeeze table of this function at the edges of K = 1024 equiprobable
-  cells of the proposal uniform (Devroye 1986, ch. II; Marsaglia 1977) and
-  calls it only for the 1/K of proposals the table cannot settle; every
-  decision is the one the exact test makes.
+  x is the arcsine law's sin^2(pi u / 2).  At alpha != 1 it comes from a
+  per-alpha table (Devroye 1986, ch. II), built on first use and cached:
+  with a = alpha/2, b = 1 - a and u* = I_{1/2}(a, b), it holds x for
+  u <= u* and 1 - x above, whichever is <= 1/2, each as w * G(w) where
+  w = (u a B(a, b))^(1/a) (resp. 1 - u, b) is the leading power law of that
+  tail and G a Chebyshev polynomial in w.  The build checks the table
+  against betaincinv between its nodes and over the whole u range, and
+  raises RuntimeError if the relative error of gamma exceeds
+  _EXIT_TABLE_TOL = 1e-11.
+* ``interior_radius_from_uniforms`` - the interior (source) radius, whose
+  density on (0, 1) is s^(alpha-1) w(s) / Z with w(s) = I_{1-s^2}(a, b'),
+  a = alpha/2 and b' = (n-alpha)/2, drawn exactly from three uniforms
+  (Devroye 1986, ch. IX).  The density is the s-marginal of
+
+      p(s, t) = alpha s^(alpha-1) t^(-a) * t^(n/2-1) (1-t)^(a-1) / B(n/2, a)
+
+  on s^2 < t < 1: integrating t out gives alpha B(a, b') / B(n/2, a) times
+  s^(alpha-1) w(s), since n/2 - a = b'.  So T ~ Beta(n/2, a) and, given T,
+  S = sqrt(T) V^(1/alpha) with V uniform.  T is drawn through its
+  complement, 1 - T ~ Beta(a, n/2), the product of X ~ Beta(a, 1-a), the
+  exit law's own variate, and 1 - U^(1/c) ~ Beta(1, c) with
+  c = n/2 - 1 + a > 0 (a product of Beta(a, b1) and Beta(a + b1, b2)
+  variates is Beta(a, b1 + b2)): T = (1 - X) + X U^(1/c), a sum of two
+  non-negative terms, with 1 - X read from the side of the exit inverse
+  that holds it, never by subtraction.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ __all__ = [
     "box_muller",
     "philox4x64",
     "exit_radius_from_uniform",
-    "interior_accept_prob",
+    "interior_radius_from_uniforms",
     "point_substream",
 ]
 
@@ -238,16 +244,19 @@ def _exit_side(side, v):
 
 
 def _exit_inverse(table, u):
-    """x = I^(-1)(u; a, b) from an exit table: x = w G(w) for u <= u*, and
-    1 - x = w G(w) at tail probability 1 - u above it."""
+    """(x, 1 - x) for x = I^(-1)(u; a, b) from an exit table: x = w G(w) for
+    u <= u*, and 1 - x = w G(w) at tail probability 1 - u above it; the
+    other of the pair is 1 minus the one that is at most 1/2."""
     u = np.asarray(u, dtype=float)
     ustar, sides = table
-    x = np.empty(u.shape)
+    x, y = np.empty((2,) + u.shape)
     lower = u <= ustar
     upper = ~lower
     x[lower] = _exit_side(sides[0], u[lower])
-    x[upper] = 1.0 - _exit_side(sides[1], 1.0 - u[upper])
-    return x
+    y[lower] = 1.0 - x[lower]
+    y[upper] = _exit_side(sides[1], 1.0 - u[upper])
+    x[upper] = 1.0 - y[upper]
+    return x, y
 
 
 def _exit_gamma(x):
@@ -292,7 +301,7 @@ def _exit_table(alpha: float):
         np.geomspace(0.5**54, ustar, 64), 1.0 - np.geomspace(0.5**53, 1.0 - ustar, 64),
     ])
     ref = _exit_gamma(sc.betaincinv(a, b, u))
-    err = float(np.max(np.abs(_exit_gamma(_exit_inverse(table, u)) / ref - 1.0)))
+    err = float(np.max(np.abs(_exit_gamma(_exit_inverse(table, u)[0]) / ref - 1.0)))
     if not err <= _EXIT_TABLE_TOL:
         raise RuntimeError(
             f"the exit table at alpha={alpha} is off betaincinv by {err:.3g} "
@@ -301,24 +310,36 @@ def _exit_table(alpha: float):
     return table
 
 
-def exit_radius_from_uniform(r, alpha: float, u):
-    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts.
-
-    x = I^(-1)(u; alpha/2, 1-alpha/2) is scipy's betaincinv at alpha = 1 and
-    the certified table (_exit_table) at alpha != 1."""
+def _beta_inverse(alpha: float, u):
+    """(x, 1 - x) for x = I^(-1)(u; alpha/2, 1-alpha/2): the arcsine law's
+    sin^2(pi u / 2) and sin^2(pi (1 - u) / 2) at alpha = 1, the certified
+    table (_exit_table) at alpha != 1."""
     if alpha == 1.0:
-        x = sc.betaincinv(0.5, 0.5, u)
-    else:
-        x = _exit_inverse(_exit_table(float(alpha)), u)
+        u = np.asarray(u, dtype=float)
+        return np.sin(u * (np.pi / 2.0)) ** 2, np.sin((1.0 - u) * (np.pi / 2.0)) ** 2
+    return _exit_inverse(_exit_table(float(alpha)), u)
+
+
+def exit_radius_from_uniform(r, alpha: float, u):
+    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts."""
+    x, _ = _beta_inverse(alpha, u)
     return r / np.sqrt(np.maximum(x, _MIN_INV_BETA))
 
 
-def interior_accept_prob(s, n, alpha):
-    """Acceptance probability w(s)/w(0+) = I_{1-s^2}(alpha/2, (n-alpha)/2).
+def _interior_t(n: int, alpha: float, ux, ut):
+    """T = (1 - X) + X * ut^(1/c) ~ Beta(n/2, alpha/2), in (0, 1], with
+    X = I^(-1)(ux; alpha/2, 1-alpha/2) and c = (n - 2 + alpha)/2."""
+    x, one_minus_x = _beta_inverse(alpha, ux)
+    t = one_minus_x + x * ut ** (2.0 / (n - 2.0 + alpha))
+    # at alpha = 1 the two of the pair are rounded apart, and their sum may pass 1
+    return np.minimum(t, 1.0)
 
-    Regularized incomplete Beta evaluated on the complement to avoid
-    cancellation near s = 1.  Broadcasts over s."""
-    return sc.betainc(alpha / 2.0, (n - alpha) / 2.0, 1.0 - s * s)
+
+def interior_radius_from_uniforms(n: int, alpha: float, ux, ut, uv):
+    """Map three uniforms in (0,1) per draw to interior radii in [0, 1):
+    S = sqrt(T) * uv^(1/alpha), T from ux and ut (_interior_t; see the
+    module docstring).  Pure transform, broadcasts."""
+    return np.sqrt(_interior_t(n, alpha, ux, ut)) * uv ** (1.0 / alpha)
 
 
 def point_substream(x) -> int:

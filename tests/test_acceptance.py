@@ -33,6 +33,7 @@ from fracwos.engine import (
     WalkConfig,
     _batch_interior_radii,
     error_metric,
+    estimate_field,
     estimate_point,
     step_bound,
 )
@@ -73,8 +74,7 @@ def _hits_within_3_sigma(case, pts, num_paths, walk_seed):
     k = make_constants(case.n, case.alpha)
     exact = case.u_exact(pts)
     hits = 0
-    for x, ux in zip(pts, exact):
-        est = estimate_point(prob, _walk(num_paths, walk_seed), k, x)
+    for est, ux in zip(estimate_field(prob, _walk(num_paths, walk_seed), k, pts), exact):
         tol = max(3.0 * est.stderr, 1e-9)
         hits += abs(est.mean - ux) <= tol
     return int(hits)
@@ -157,7 +157,7 @@ def test_criterion_05_monte_carlo_rate():
     for N in ladder:
         per_seed = []
         for seed in (0, 1, 2):
-            means = [estimate_point(prob, _walk(N, seed), k, x).mean for x in pts]
+            means = [e.mean for e in estimate_field(prob, _walk(N, seed), k, pts)]
             per_seed.append(error_metric(means, exact)[0])
         errs.append(float(np.mean(per_seed)))
     slope = float(np.polyfit(np.log10(ladder), np.log10(errs), 1)[0])
@@ -167,7 +167,7 @@ def test_criterion_05_monte_carlo_rate():
 def test_criterion_06_sampler_laws():
     """KS at the 1% level for both jump laws on the (n, alpha) grid, drawn
     through the samplers the walk runs: exit radii from one stream each,
-    interior radii from the walk's rejection loop over N path streams."""
+    interior radii from three words of each of N path streams."""
     N = 100_000
     paths = np.arange(N)
     idx = 0
@@ -298,8 +298,8 @@ def test_criterion_09_shell_bias_rate():
 
 def test_criterion_10_special_function_accuracy():
     """Beta round trips to 1e-10 and hypergeometrics against 60-digit
-    references.  The inverse is scipy's betaincinv, which the exit-radius
-    transform calls at alpha = 1 and checks its table against elsewhere.
+    references.  The inverse is scipy's betaincinv, which builds the
+    exit-radius table at alpha != 1 and checks it.
 
     The round trip is measured in the value domain, started from an
     abscissa: u = I_x(a,b), x' = I^(-1)(u), |I_(x')(a,b) - u| <= 1e-10.

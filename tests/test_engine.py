@@ -152,8 +152,8 @@ _GOLDEN_CASES = {
     "disk_nof_a1.5": (BallDomain(np.zeros(2), 1.0), 2, 1.5, False, [0.6, 0.1], 256, None),
     "lshape_a1.0": (LShapeDomain(), 2, 1.0, True, [-0.4, 0.5], 256, None),
     "ball10_a1.2": (BallDomain(np.zeros(10), 1.0), 10, 1.2, True, [0.3] + [0.0] * 9, 300, 128),
-    # the ends of the alpha range and higher n, where the interior rejection
-    # test meets the extremes of its acceptance curve
+    # the ends of the alpha range and higher n, where the interior radius's
+    # exponents 1/alpha and 2/(n - 2 + alpha) are at their extremes
     "disk_a0.05": (BallDomain(np.zeros(2), 1.0), 2, 0.05, True, [0.3, -0.2], 256, None),
     "disk_a1.95": (BallDomain(np.zeros(2), 1.0), 2, 1.95, True, [0.3, -0.2], 256, None),
     "ball3_a1.9": (BallDomain(np.zeros(3), 1.0), 3, 1.9, True, [0.3, -0.2, 0.1], 256, None),
@@ -164,30 +164,16 @@ _GOLDEN_CASES = {
 # (score, steps) of run_path(..., 17).  The walk's random layout is part of
 # its contract: any change to these values is a deliberate stream break.
 _GOLDEN = {
-    "ball10_a1.2": ("0x1.22cb128e216bbp-1", "0x1.63613e99a0a13p-5", "0x1.a47ae147ae148p+2", "0x1.81a88887d9f7ap-1", 6),
-    "disk_a0.3": ("0x1.4954b9204fce8p+0", "0x1.0af91efd055abp-2", "0x1.4f00000000000p+0", "0x1.538c189b83e16p+0", 1),
-    "disk_a1.0": ("0x1.080de89b9f872p+0", "0x1.482d7202e6a2ap-3", "0x1.3900000000000p+1", "0x1.d11a67a89bed0p+0", 5),
-    "disk_a1.9": ("0x1.85cf5c91c243ep-1", "0x1.a9b4f8aa9dc51p-6", "0x1.4ae0000000000p+3", "0x1.023619fd17eb2p+0", 11),
-    "disk_nof_a1.5": ("0x1.b5239b431a28ep-2", "0x1.ac1cb967b1079p-7", "0x1.3740000000000p+2", "0x1.fc9b44ed94e3bp-2", 6),
-    "lshape_a1.0": ("0x1.37ebbb1783e80p-1", "0x1.b725c6cb40129p-4", "0x1.5080000000000p+1", "0x1.bd5bbcec28625p-1", 5),
-    # recorded before interior rejection was settled from a squeeze table
-    "disk_a0.05": ("0x1.4aa443f079ae8p+0", "0x1.71cbff9cc2026p-5", "0x1.0a00000000000p+0", "0x1.3e45344346f02p+0", 1),
-    "disk_a1.95": ("0x1.7ac23f7214bdcp-1", "0x1.5ef4f3d6b75f9p-6", "0x1.6d60000000000p+3", "0x1.aae55d2a4856ap-1", 20),
-    "ball3_a1.9": ("0x1.5acd6a122821dp-1", "0x1.9db9fb9c7ad33p-7", "0x1.26f0000000000p+4", "0x1.83e7089e0cb2cp-1", 14),
-    "ball10_a1.9": ("0x1.18a089316fdf9p-1", "0x1.35c94ba7d8bb4p-8", "0x1.1e62fc962fc96p+6", "0x1.46c5fbaced58fp-1", 150),
-}
-
-
-# zeta_unit as make_constants gave it when the first six golden values were
-# recorded (a Gauss-Jacobi quadrature ladder); the closed form now used
-# differs by up to 1.8e-10 relative.  The golden test pins the random stream,
-# so those source cases run with the recorded constant; the cases recorded
-# later use make_constants as it is.
-_GOLDEN_ZETA = {
-    (2, 0.3): "0x1.ddb46b42971dbp-1",
-    (2, 1.0): "0x1.45f306dc96ca1p-1",
-    (2, 1.9): "0x1.1dc1becb84a64p-2",
-    (10, 1.2): "0x1.84ff84b929670p-3",
+    "ball10_a1.2": ("0x1.205ea81e1a7bap-1", "0x1.655b410d70733p-5", "0x1.a000000000000p+2", "0x1.484e4535b922ep-1", 4),
+    "ball10_a1.9": ("0x1.1c6c067c1157bp-1", "0x1.c140f115666a4p-9", "0x1.2369d0369d037p+6", "0x1.18f34e040aab4p-1", 47),
+    "ball3_a1.9": ("0x1.5b8053bd8ed92p-1", "0x1.b0cb5ae03602ep-7", "0x1.4ef0000000000p+4", "0x1.3d6c56932b0e2p-1", 10),
+    "disk_a0.05": ("0x1.48d5580ac79f6p+0", "0x1.1ab1c63c981adp-5", "0x1.0600000000000p+0", "0x1.4b69ebf1cbd37p+0", 1),
+    "disk_a0.3": ("0x1.3b50b3a8ce7bcp+0", "0x1.403e54cb5f500p-3", "0x1.2f00000000000p+0", "0x1.50c415bcae936p+0", 1),
+    "disk_a1.0": ("0x1.f9f90d705fd5ep-1", "0x1.54460e02ae02cp-3", "0x1.1b00000000000p+1", "0x1.6269e65908e3fp-1", 1),
+    "disk_a1.9": ("0x1.7743f4abd76c2p-1", "0x1.e7cb66f124237p-6", "0x1.3160000000000p+3", "0x1.62bae480e008cp-2", 1),
+    "disk_a1.95": ("0x1.743ef745a7dffp-1", "0x1.8e85655d83312p-6", "0x1.5020000000000p+3", "0x1.c690d1e6618fep-2", 1),
+    "disk_nof_a1.5": ("0x1.a68823f6172a2p-2", "0x1.fc8d9302ba6a9p-7", "0x1.41c0000000000p+2", "0x1.143f56762c8b8p-2", 1),
+    "lshape_a1.0": ("0x1.2be29d4f0382bp-1", "0x1.a2b58257ccc71p-4", "0x1.6900000000000p+1", "0x1.aed7f20f059fap-2", 2),
 }
 
 
@@ -202,8 +188,6 @@ def _golden_run(name):
     )
     cfg = WalkConfig(epsilon=1e-4, num_paths=num_paths, seed=2024)
     k = make_constants(n, alpha)
-    if (n, alpha) in _GOLDEN_ZETA:
-        k = dataclasses.replace(k, zeta_unit=float.fromhex(_GOLDEN_ZETA[(n, alpha)]))
     x0 = np.array(x0, dtype=float)
     with patch.object(engine, "_WAVEFRONT", width or num_paths):
         est = estimate_point(prob, cfg, k, x0)
@@ -219,14 +203,15 @@ def _golden_run(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
 def test_golden_stream(name):
-    # the values were recorded with betaincinv as the exit inverse at every
-    # alpha: with it patched back in they are pinned byte for byte
-    with patch.object(sampling, "exit_radius_from_uniform",
-                      exit_reference.exit_radius_from_uniform):
-        assert _golden_run(name) == _GOLDEN[name]
-    # the tabulated inverse at alpha != 1 reads the same uniforms, so every
+    assert _golden_run(name) == _GOLDEN[name]
+    # with betaincinv as the exit law's inverse, for the exit radius and for
+    # the interior radius's X alike, the walk reads the same uniforms: every
     # step count stays and the scores move by the table's error only
-    mean, var, steps, score, path_steps = _golden_run(name)
+    with patch.object(sampling, "exit_radius_from_uniform",
+                      exit_reference.exit_radius_from_uniform), \
+            patch.object(sampling, "interior_radius_from_uniforms",
+                         exit_reference.interior_radius_from_uniforms):
+        mean, var, steps, score, path_steps = _golden_run(name)
     want = _GOLDEN[name]
     assert (steps, path_steps) == (want[2], want[4])
     for got, ref in ((mean, want[0]), (var, want[1]), (score, want[3])):
@@ -234,9 +219,7 @@ def test_golden_stream(name):
         assert abs(got - ref) <= 1e-10 * abs(ref), (got, ref)
 
 
-# the replay contract on the disk at alpha = 1.9 with a source, where most
-# proposals of the interior rejection are drawn ahead and settled by the
-# squeeze table
+# the replay contract on the disk at alpha = 1.9 with a source
 _REPLAY_N = 40
 _REPLAY_PROB = ProblemSpec(n=2, alpha=1.9, f=_poly_source, g=_bounded_exterior,
                            domain=BallDomain(np.zeros(2), 1.0))
@@ -344,12 +327,12 @@ def test_field_is_the_same_under_any_width_and_point_order(order, dup, data):
 
 
 # ---------------------------------------------------------------------------
-# a ConstantField source skips the interior sample with the same result bits
+# a ConstantField source skips the interior sample: it walks the f = None
+# trajectory
 
 _CONST = 0.7312
 _CONST_N = 24
-# domain and start point; Y's direction fills ceil(n/4) blocks, 3 of them
-# in the 10-d ball
+# domain and start point
 _CONST_DOMAINS = {
     "disk": (BallDomain(np.zeros(2), 1.0), [0.3, -0.2]),
     "lshape": (LShapeDomain(), [-0.4, 0.5]),
@@ -358,35 +341,59 @@ _CONST_DOMAINS = {
 }
 
 
-def _plain_const(pts):
-    return np.full(len(pts), _CONST)
-
-
 def _path_bits(path):
     return (path.score.hex(), path.steps, path.exit_point.tobytes(),
             path.stopped_in_shell)
 
 
-@pytest.mark.parametrize("epsilon", [1e-6, 0.05])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
-@pytest.mark.parametrize("name", sorted(_CONST_DOMAINS))
-def test_constant_field_matches_a_plain_callable(name, alpha, epsilon):
-    dom, x0 = _CONST_DOMAINS[name]
-    x0 = np.array(x0)
-    k = make_constants(dom.n, alpha)
-    cfg = WalkConfig(epsilon=epsilon, num_paths=_CONST_N, seed=41)
+def _walk_paths(problem, cfg, k, x0, width):
+    """Each path's (score, steps, exit point, shell flag), in path order, of
+    a walk on a wavefront of width rows, and the Philox blocks it drew."""
+    with patch.object(engine, "_WAVEFRONT", width), \
+            patch.object(sampling.StreamBatch, "uniforms", autospec=True,
+                         side_effect=sampling.StreamBatch.uniforms) as uniforms:
+        landed = list(_walk(problem, cfg, k, x0[None, :]))
+    blocks = sum(len(idx) * -(-m // 4) for (_, idx, m), _ in uniforms.call_args_list)
+    pairs, scores, steps, _, exit_pt, shell = (np.concatenate(col) for col in zip(*landed))
+    order = np.argsort(pairs)
+    return (scores[order], steps[order], exit_pt[order], shell[order]), blocks
 
-    def problem(f):
-        return ProblemSpec(n=dom.n, alpha=alpha, f=f, g=_bounded_exterior, domain=dom)
 
-    plain, const = problem(_plain_const), problem(engine.ConstantField(_CONST))
-    want = _bits(estimate_point(plain, cfg, k, x0))
-    for width in (1, 7, 16384):
-        with patch.object(engine, "_WAVEFRONT", width):
-            assert _bits(estimate_point(const, cfg, k, x0)) == want, width
-    for i in (0, 17, _CONST_N - 1):
-        assert (_path_bits(run_path(const, cfg, k, x0, i))
-                == _path_bits(run_path(plain, cfg, k, x0, i)))
+def test_constant_field_generates_no_interior_direction():
+    # a ConstantField(c) source draws only the exit words, ceil((2 ceil(n/2)
+    # + 1) / 4) blocks per step, and walks the f = None walk's paths bit for
+    # bit: the same steps, exit points and shell flags, and at c = 0 the
+    # same scores.  Each walk is the same at wavefront widths 1, 7 and 16384,
+    # and run_path replays its paths.
+    for name, (dom, x0) in sorted(_CONST_DOMAINS.items()):
+        x0 = np.array(x0)
+        for alpha in (0.5, 1.0, 1.9):
+            k = make_constants(dom.n, alpha)
+            for epsilon in (1e-6, 0.05):
+                cfg = WalkConfig(epsilon=epsilon, num_paths=_CONST_N, seed=41)
+                case = (name, alpha, epsilon)
+                walks = {}
+                for c in (None, _CONST, 0.0):
+                    f = None if c is None else engine.ConstantField(c)
+                    prob = ProblemSpec(n=dom.n, alpha=alpha, f=f, g=_bounded_exterior,
+                                       domain=dom)
+                    walk, blocks = _walk_paths(prob, cfg, k, x0, 16384)
+                    steps = int(walk[1].sum())
+                    assert blocks == -(-(2 * -(-dom.n // 2) + 1) // 4) * steps, case
+                    for width in (1, 7):
+                        other, _ = _walk_paths(prob, cfg, k, x0, width)
+                        assert all(np.array_equal(a, b) for a, b in zip(other, walk)), case
+                    for i in (0, 17, _CONST_N - 1):
+                        got = _path_bits(run_path(prob, cfg, k, x0, i))
+                        want = (walk[0][i].hex(), int(walk[1][i]), walk[2][i].tobytes(),
+                                bool(walk[3][i]))
+                        assert got == want, (case, c, i)
+                    walks[c] = walk
+                none, const, zero = walks[None], walks[_CONST], walks[0.0]
+                for w in (const, zero):
+                    assert all(np.array_equal(a, b) for a, b in zip(w[1:], none[1:])), case
+                assert zero[0].tobytes() == none[0].tobytes(), case
+                assert np.all(const[0] > none[0]), case  # c > 0 adds to every score
 
 
 def test_constant_field_is_a_batch_field():
@@ -398,32 +405,6 @@ def test_constant_field_is_a_batch_field():
     assert f == engine.ConstantField(2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.value = 3.0
-
-
-def _count_blocks(problem, cfg, k, x0):
-    """The estimate at x0 and the Philox blocks its walk generated."""
-    with patch.object(sampling.StreamBatch, "uniforms", autospec=True,
-                      side_effect=sampling.StreamBatch.uniforms) as uniforms:
-        est = estimate_point(problem, cfg, k, x0)
-    blocks = sum(len(idx) * -(-m // 4) for (_, idx, m), _ in uniforms.call_args_list)
-    return est, blocks
-
-
-def test_constant_field_generates_no_interior_direction():
-    # on the 10-d ball each step skips the ceil(10/4) = 3 blocks of Y's
-    # direction; the step counts and the estimate's bits do not move
-    n, alpha = 10, 1.2
-    k = make_constants(n, alpha)
-    cfg = WalkConfig(epsilon=1e-6, num_paths=2000, seed=3)
-    x0 = np.array([0.3] + [0.0] * 9)
-    plain = _ball_problem(n, alpha, f=_plain_const)
-    const = _ball_problem(n, alpha, f=engine.ConstantField(_CONST))
-    est_plain, blocks_plain = _count_blocks(plain, cfg, k, x0)
-    est_const, blocks_const = _count_blocks(const, cfg, k, x0)
-    assert _bits(est_const) == _bits(est_plain)
-    total_steps = round(est_plain.mean_steps * est_plain.n_paths)
-    assert total_steps > cfg.num_paths
-    assert blocks_plain - blocks_const == 3 * total_steps
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +519,10 @@ def test_overflowing_exterior_data_leaves_a_finite_mean():
 
 
 def test_overflowing_variance_gives_a_finite_stderr():
-    # every score is finite (the largest is about 2.1e256), but their squared
-    # deviations overflow; the variance itself, about 2e509, is beyond the
-    # float range
+    # every score is finite (the largest is about 2.1e246), but their squared
+    # deviations overflow; the variance itself, about 2.2e489, is beyond the
+    # float range.  The figures are those of exact rational arithmetic on the
+    # walk's scores
     prob = _ball_problem(2, 0.3, g=lambda pts: np.sum(pts * pts, axis=1) ** 12)
     cfg = WalkConfig(epsilon=1e-6, num_paths=2000, seed=0)
     with warnings.catch_warnings(record=True) as caught:
@@ -552,8 +534,8 @@ def test_overflowing_variance_gives_a_finite_stderr():
     ]
     assert (est.n_paths, est.n_nonfinite, est.n_dropped) == (2000, 0, 0)
     assert est.variance == math.inf
-    assert est.stderr == pytest.approx(1.0646e253, rel=1e-3)
-    assert est.mean == pytest.approx(1.0646e253, rel=1e-3)
+    assert est.stderr == pytest.approx(1.0432e243, rel=1e-3)
+    assert est.mean == pytest.approx(1.1593e243, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

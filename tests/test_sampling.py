@@ -3,8 +3,9 @@
 The Philox block function is validated against numpy's implementation and
 the published Random123 known-answer vector.  The distributional tests
 draw through what the walk runs (StreamBatch, box_muller,
-exit_radius_from_uniform and engine._batch_interior_radii) at moderate
-sample sizes; the full 1e5-draw KS battery lives in the acceptance suite.
+exit_radius_from_uniform, interior_radius_from_uniforms and
+engine._batch_interior_radii) at moderate sample sizes; the full 1e5-draw
+KS battery lives in the acceptance suite.
 """
 
 from unittest.mock import patch
@@ -12,18 +13,14 @@ from unittest.mock import patch
 import exit_reference
 import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 from zeta_reference import gauss_jacobi_rule
 
 from fracwos import kernels, sampling
-from fracwos.engine import (
-    _SQUEEZE_CELLS,
-    _batch_interior_radii,
-    _interior_squeeze,
-    _unit_rows,
-)
+from fracwos.engine import _batch_interior_radii, _unit_rows
 from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
@@ -31,7 +28,7 @@ from fracwos.sampling import (
     _store_unit_open,
     box_muller,
     exit_radius_from_uniform,
-    interior_accept_prob,
+    interior_radius_from_uniforms,
     philox4x64,
     point_substream,
 )
@@ -169,70 +166,6 @@ def test_uniforms_take_a_list_of_rows(m):
     assert np.array_equal(a.position, b.position)
 
 
-def _one_block_rounds(batch, idx, n, alpha):
-    """Interior-radius rejection drawing one block per pending row per round."""
-    out = np.empty(idx.shape[0])
-    pending = np.arange(idx.shape[0])
-    while pending.size:
-        u = batch.uniforms(idx[pending], 4)
-        accepted = np.zeros(pending.size, dtype=bool)
-        for j in (0, 2):
-            s = u[:, j] ** (1.0 / alpha)
-            ok = ~accepted & (u[:, j + 1] <= interior_accept_prob(s, n, alpha))
-            out[pending[ok]] = s[ok]
-            accepted |= ok
-        pending = pending[~accepted]
-    return out
-
-
-# at alpha = 0.05 nearly every first proposal is accepted, so no row of
-# this size reaches a second round there
-@pytest.mark.parametrize("n, alpha, second_round", [
-    (2, 1.9, True), (3, 0.7, True), (2, 0.05, False), (2, 1.95, True), (10, 1.2, True),
-], ids=["2-1.9", "3-0.7", "2-0.05", "2-1.95", "10-1.2"])
-def test_rejection_draw_ahead_consumes_only_used_blocks(n, alpha, second_round):
-    rows, idx = 2000, np.arange(0, 2000, 2)
-    ahead = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
-    single = StreamBatch(seed=31, stream_ids=np.arange(rows), substreams=6)
-    for b in (ahead, single):
-        b.uniforms(np.arange(0, rows, 3), 5)  # mixed starting positions
-    start = ahead.position.copy()
-    got = _batch_interior_radii(ahead, idx, n, alpha)
-    want = _one_block_rounds(single, idx, n, alpha)
-    assert np.array_equal(got, want)
-    assert np.array_equal(ahead.position, single.position)
-    assert np.array_equal(ahead.position[1::2], start[1::2])  # rows not drawn
-    # a row that consumed 2 or more blocks needed a second round, which drew
-    # 2 blocks ahead; the next draw continues right after the consumed ones
-    assert (np.max(ahead.position - start) >= 2) == second_round
-    assert np.array_equal(ahead.uniforms(idx, 4), single.uniforms(idx, 4))
-
-
-@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 1.6, 1.9, 1.95])
-@pytest.mark.parametrize("n", [2, 3, 10, 50])
-def test_interior_squeeze_bounds_hold(n, alpha):
-    # the engine settles a proposal u from the padded bounds of its cell
-    # floor(u * K); they must hold the exact acceptance probability, computed
-    # as the engine computes it, at every u: on each cell edge, at the
-    # floats just below each edge and at random u
-    lo, hi = _interior_squeeze(n, alpha)
-    K = lo.size
-    edges = np.arange(K) / K
-    below, x = [], np.arange(1, K + 1) / K
-    for _ in range(4):  # the 4 floats below each upper edge
-        x = np.nextafter(x, 0.0)
-        below.append(x)
-    rng = np.random.default_rng(int(100 * alpha) + 1000 * n)
-    u = np.concatenate([edges, *below, rng.random(100_000)])
-    p = interior_accept_prob(u ** (1.0 / alpha), n, alpha)
-    cell = (u * K).astype(np.intp)
-    assert np.all(lo[cell] <= p)
-    assert np.all(p <= hi[cell])
-    # a proposal is tested exactly with probability mean(hi - lo), which is
-    # 1/K (p falls from 1 to 0) plus at most 2 * _SQUEEZE_PAD
-    assert 1.0 / K <= np.mean(hi - lo) <= 1.0 / K + 2e-9
-
-
 # ---------------------------------------------------------------------------
 # streams
 
@@ -269,9 +202,8 @@ def test_uniforms_never_round_to_one():
     _store_unit_open(u, words)
     assert u[0] == u[1] == 1.0 - 0.5**53
     assert u[2] == 0.5**54
-    # so the largest uniform stays in the last squeeze cell, and its
-    # Box-Muller radius is not 0 (an n = 2 direction of 0/0)
-    assert int(u[0] * _SQUEEZE_CELLS) == _SQUEEZE_CELLS - 1
+    # so the largest uniform's Box-Muller radius is not 0 (an n = 2
+    # direction of 0/0)
     assert np.all(np.isfinite(_unit_rows(box_muller(u[None, :2], 2))))
 
 
@@ -351,8 +283,6 @@ def test_exit_radius_cdf_round_trip():
     # x = (r/gamma)^2 over gamma <= 1e3 r: past that, 1 - x rounds to 1
     # in double and the complement-form CDF saturates (for small alpha
     # most of the law lives out there, but no KS statistic can see it).
-    import scipy.special as sc
-
     x = np.concatenate([np.geomspace(1e-6, 0.5, 80), np.linspace(0.5, 1 - 1e-6, 80)])
     r = 2.5
     for alpha in (0.05, 0.4, 1.0, 1.6, 1.95):
@@ -448,6 +378,22 @@ def test_exit_table_build_checks_its_tolerance():
             sampling._exit_table.__wrapped__(0.7)
 
 
+def test_alpha_one_exit_inverse_is_betaincinv_bit_for_bit():
+    # at alpha = 1 the exit law is the arcsine law, x = sin^2(pi u / 2), and
+    # 1 - x is sin^2(pi (1 - u) / 2); both equal scipy's betaincinv(1/2, 1/2)
+    # bit for bit at the generator's two ends and on a fixed sample
+    idx = np.arange(4)
+    u = np.concatenate([[0.5**54, 1.0 - 0.5**53],
+                        StreamBatch(8, idx, 3).uniforms(idx, 50_000).ravel()])
+    x, one_minus_x = sampling._beta_inverse(1.0, u)
+    assert x.tobytes() == sc.betaincinv(0.5, 0.5, u).tobytes()
+    assert one_minus_x.tobytes() == sc.betaincinv(0.5, 0.5, 1.0 - u).tobytes()
+    # the top end keeps 1 - x = (pi/2)^2 2^-106 to rounding, where 1 - x by
+    # subtraction would read 0
+    assert one_minus_x[1] == pytest.approx((np.pi / 2.0) ** 2 * 0.5**106, rel=1e-15)
+    assert 1.0 - x[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # interior radius
 
@@ -467,13 +413,35 @@ def _interior_cdf(s_sorted, n, alpha, m=96):
     return part / float(np.sum(wt * full_w))
 
 
-def test_interior_accept_prob_is_a_probability_envelope():
-    s = np.linspace(1e-6, 1.0 - 1e-6, 300)
-    for n, alpha in [(2, 0.4), (3, 1.0), (10, 1.6)]:
-        p = interior_accept_prob(s, n, alpha)
-        assert np.all((p >= 0.0) & (p <= 1.0))
-        assert np.all(np.diff(p) <= 1e-15)  # decreasing envelope
-        assert p[0] > 0.999
+def _interior_cdf_closed_form(s, n, alpha):
+    """F(s) = s^alpha I_{1-s^2}(a, b) B(a, b) / B(n/2, a) + I_{s^2}(n/2, a),
+    a = alpha/2, b = (n - alpha)/2: the radial law's CDF, by parts."""
+    a, b = alpha / 2.0, (n - alpha) / 2.0
+    return (s**alpha * sc.betainc(a, b, 1.0 - s * s) * sc.beta(a, b) / sc.beta(n / 2.0, a)
+            + sc.betainc(n / 2.0, a, s * s))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 1.95])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_interior_transform_matches_the_closed_form_cdf(n, alpha):
+    # KS at 1% against the closed-form CDF on fixed streams
+    N = 50_000
+    idx = np.arange(N)
+    u = StreamBatch(2026, idx, 1000 * n + round(100 * alpha)).uniforms(idx, 3)
+    s = interior_radius_from_uniforms(n, alpha, u[:, 0], u[:, 1], u[:, 2])
+    assert np.all((s >= 0.0) & (s < 1.0))
+    f = np.sort(_interior_cdf_closed_form(np.sort(s), n, alpha))
+    k = np.arange(1, N + 1)
+    d = max(np.max(k / N - f), np.max(f - (k - 1) / N))
+    assert d < _KS_1PCT / np.sqrt(N)
+    # every combination of the generator's two ends keeps S in [0, 1) and
+    # T in (0, 1]
+    ends = np.array([0.5**54, 1.0 - 0.5**53])
+    ux, ut, uv = (e.ravel() for e in np.meshgrid(ends, ends, ends, indexing="ij"))
+    t = sampling._interior_t(n, alpha, ux, ut)
+    assert np.all((t > 0.0) & (t <= 1.0))
+    s = interior_radius_from_uniforms(n, alpha, ux, ut, uv)
+    assert np.all((s >= 0.0) & (s < 1.0))
 
 
 def test_interior_radius_ks_moderate():

@@ -7,9 +7,9 @@ tests/data/hyp_reference.json.  The file was generated once with mpmath at
 60 digits (tools/gen_reference_values.py) and is checked in, so these
 tests never need network access or mpmath at runtime.  Also
 checked here: scipy's inverse regularized incomplete Beta (betaincinv) on
-the parameters (alpha/2, 1 - alpha/2) of the exit law, which the solver
-inverts for every exit radius, and the Gauss-Jacobi rule of the test-side
-zeta_unit reference (zeta_reference).
+the parameters (alpha/2, 1 - alpha/2) of the exit law, which builds and
+checks the solver's exit table at alpha != 1, and the Gauss-Jacobi rule of
+the test-side zeta_unit reference (zeta_reference).
 """
 
 import json
@@ -142,7 +142,7 @@ def _betaincinv_round_trip(x, a, b):
 @given(x=st.floats(1e-6, 1.0 - 1e-6), alpha=st.floats(0.05, 1.95))
 @settings(max_examples=80, deadline=None)
 def test_scipy_betaincinv_round_trip_on_the_exit_law(x, alpha):
-    # the only parameters the walk inverts: the exit radius law
+    # the only parameters the package inverts: the exit radius law
     # (alpha/2, 1 - alpha/2) over the supported alpha range
     _betaincinv_round_trip(x, alpha / 2.0, 1.0 - alpha / 2.0)
 
@@ -151,7 +151,8 @@ def test_scipy_betaincinv_round_trip_on_the_exit_law(x, alpha):
     strict=True,
     reason="upstream defect: scipy's betaincinv(a, a, 0.5000000000000002) returns "
     "0.4999999998013698 at a = 2.393582988792868 (scipy 1.17.1), a u-residual of "
-    "3.3e-10; the walk never inverts a = b",
+    "3.3e-10; the package calls betaincinv only to build and check the exit table "
+    "at alpha != 1, where a = alpha/2 and b = 1 - alpha/2 differ",
 )
 def test_scipy_betaincinv_round_trip_off_the_exit_law():
     _betaincinv_round_trip(0.5, 2.393582988792868, 2.393582988792868)
