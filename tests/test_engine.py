@@ -348,7 +348,8 @@ def _path_bits(path):
 
 def _walk_paths(problem, cfg, k, x0, width):
     """Each path's (score, steps, exit point, shell flag), in path order, of
-    a walk on a wavefront of width rows, and the Philox blocks it drew."""
+    a walk on a wavefront of width rows, and the uniforms calls it made and
+    the Philox blocks they drew."""
     with patch.object(engine, "_WAVEFRONT", width), \
             patch.object(sampling.StreamBatch, "uniforms", autospec=True,
                          side_effect=sampling.StreamBatch.uniforms) as uniforms:
@@ -356,7 +357,24 @@ def _walk_paths(problem, cfg, k, x0, width):
     blocks = sum(len(idx) * -(-m // 4) for (_, idx, m), _ in uniforms.call_args_list)
     pairs, scores, steps, _, exit_pt, shell = (np.concatenate(col) for col in zip(*landed))
     order = np.argsort(pairs)
-    return (scores[order], steps[order], exit_pt[order], shell[order]), blocks
+    return (scores[order], steps[order], exit_pt[order], shell[order]), uniforms.call_count, blocks
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_a_step_is_one_uniforms_call_of_fixed_words(n):
+    # with a sampled source a step reads 3 + 2d + 1 words, d = 2 ceil(n/2),
+    # in one call; a lone row makes one call per step, and no block is drawn
+    # that the step does not consume
+    alpha = 1.3
+    prob = ProblemSpec(n=n, alpha=alpha, f=_poly_source, g=_bounded_exterior,
+                       domain=BallDomain(np.zeros(n), 1.0))
+    cfg = WalkConfig(epsilon=1e-4, num_paths=16, seed=12)
+    x0 = np.full(n, 0.4 / np.sqrt(n))
+    walk, calls, blocks = _walk_paths(prob, cfg, make_constants(n, alpha), x0, 1)
+    steps = int(walk[1].sum())
+    assert steps > cfg.num_paths
+    assert calls == steps
+    assert blocks == -(-(4 + 2 * 2 * -(-n // 2)) // 4) * steps
 
 
 def test_constant_field_generates_no_interior_direction():
@@ -377,12 +395,13 @@ def test_constant_field_generates_no_interior_direction():
                     f = None if c is None else engine.ConstantField(c)
                     prob = ProblemSpec(n=dom.n, alpha=alpha, f=f, g=_bounded_exterior,
                                        domain=dom)
-                    walk, blocks = _walk_paths(prob, cfg, k, x0, 16384)
+                    walk, _, blocks = _walk_paths(prob, cfg, k, x0, 16384)
                     steps = int(walk[1].sum())
                     assert blocks == -(-(2 * -(-dom.n // 2) + 1) // 4) * steps, case
                     for width in (1, 7):
-                        other, _ = _walk_paths(prob, cfg, k, x0, width)
+                        other, calls, _ = _walk_paths(prob, cfg, k, x0, width)
                         assert all(np.array_equal(a, b) for a, b in zip(other, walk)), case
+                        assert width > 1 or calls == steps, case
                     for i in (0, 17, _CONST_N - 1):
                         got = _path_bits(run_path(prob, cfg, k, x0, i))
                         want = (walk[0][i].hex(), int(walk[1][i]), walk[2][i].tobytes(),

@@ -434,10 +434,12 @@ def test_interior_transform_matches_the_closed_form_cdf(n, alpha):
     k = np.arange(1, N + 1)
     d = max(np.max(k / N - f), np.max(f - (k - 1) / N))
     assert d < _KS_1PCT / np.sqrt(N)
-    # every combination of the generator's two ends keeps S in [0, 1) and
-    # T in (0, 1]
+    # the generator's two ends for each word, and for X also the first 1000
+    # words of the sample, keep S in [0, 1) and T in (0, 1]; at alpha = 1,
+    # x and 1 - x are rounded apart and may sum past 1
     ends = np.array([0.5**54, 1.0 - 0.5**53])
-    ux, ut, uv = (e.ravel() for e in np.meshgrid(ends, ends, ends, indexing="ij"))
+    ux, ut, uv = (e.ravel() for e in np.meshgrid(np.concatenate([ends, u[:1000, 0]]),
+                                                 ends, ends, indexing="ij"))
     t = sampling._interior_t(n, alpha, ux, ut)
     assert np.all((t > 0.0) & (t <= 1.0))
     s = interior_radius_from_uniforms(n, alpha, ux, ut, uv)
