@@ -415,6 +415,25 @@ def test_constant_field_generates_no_interior_direction():
                 assert np.all(const[0] > none[0]), case  # c > 0 adds to every score
 
 
+@pytest.mark.parametrize("epsilon", [1e-6, 0.05])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("name", sorted(_CONST_DOMAINS))
+def test_constant_field_matches_a_plain_callable(name, alpha, epsilon):
+    # a ConstantField(c) walk and a plain callable returning c take different
+    # trajectories, but they estimate the same solution: with zero exterior
+    # data every score is the interior term alone, and the two means agree
+    # within 4 combined standard errors (about 1% of the mean at 4000 paths)
+    dom, x0 = _CONST_DOMAINS[name]
+    k = make_constants(dom.n, alpha)
+    cfg = WalkConfig(epsilon=epsilon, num_paths=4000, seed=41)
+    plain, const = (
+        estimate_point(ProblemSpec(n=dom.n, alpha=alpha, f=f, g=_const_field(0.0), domain=dom),
+                       cfg, k, np.array(x0))
+        for f in (_const_field(_CONST), engine.ConstantField(_CONST)))
+    assert plain.mean > 0.0 and plain.n_dropped == const.n_dropped == 0
+    assert abs(const.mean - plain.mean) <= 4.0 * math.hypot(plain.stderr, const.stderr)
+
+
 def test_constant_field_is_a_batch_field():
     f = engine.ConstantField(2)
     assert f.value == 2.0 and isinstance(f.value, float)
