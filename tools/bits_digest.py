@@ -15,6 +15,13 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
   a wavefront of 7 rows pays the per-step numpy overhead for few rows, so
   it walks fewer paths to keep the whole run near a minute;
 * ``run_path`` of path 17 from the first point of each of those runs;
+* the step cap: for each of CAP_CASES and each max_steps in CAP_STEPS, at
+  both widths of the walk above and each epsilon in EPSILONS, ``float.hex``
+  of each estimate's mean, variance, stderr and mean_steps and its
+  n_dropped (or the RuntimeError of a run with a point whose every path
+  dropped),
+  then, for paths 0 to CAP_RUNS - 1 from the first point, the
+  ``run_path`` realization or ``StepCapExceeded``;
 * ``StreamBatch.uniforms`` across the Philox tile edges: the rows whose
   blocks meet an edge in full, and a blake2b digest of every draw;
 * ``cli.main``, in process, on each of CLI_RUNS in a temp directory: the
@@ -89,6 +96,45 @@ def estimates():
                 cfg = engine.WalkConfig(epsilon=eps, num_paths=PATHS, seed=WALK_SEED)
                 r = engine.run_path(problem, cfg, k, pts[0], PATH_IDX)
                 print(f"{tag} run_path={PATH_IDX} {_hex(r.score)} steps={r.steps} "
+                      f"exit={_hex(*r.exit_point)} shell={r.stopped_in_shell}")
+
+
+CAP_CASES = (("disk_inverse_cubic", 1.9), ("ball10_constant_source", 1.2),
+             ("lshape_gaussian", 1.0))
+CAP_STEPS = (1, 3)
+CAP_RUNS = 8
+
+
+def step_cap():
+    for name, alpha in CAP_CASES:
+        case = oracle.make_case(name, alpha)
+        problem = case.problem()
+        k = make_constants(case.n, alpha)
+        pts = case.domain.random_interior(POINTS, POINT_SEED, margin=MARGIN)
+        for max_steps, eps in ((m, e) for m in CAP_STEPS for e in EPSILONS):
+            tag = f"cap {name} alpha={alpha} eps={eps:g} max_steps={max_steps}"
+            for width, paths in ((engine._WAVEFRONT, PATHS), (7, NARROW_PATHS)):
+                cfg = engine.WalkConfig(epsilon=eps, num_paths=paths, seed=WALK_SEED,
+                                        max_steps=max_steps)
+                try:
+                    with patch.object(engine, "_WAVEFRONT", width):
+                        est = engine.estimate_field(problem, cfg, k, pts)
+                except RuntimeError as err:
+                    print(f"{tag} width={width} {err}")
+                    continue
+                for p, e in enumerate(est):
+                    print(f"{tag} width={width} point={p} "
+                          f"{_hex(e.mean, e.variance, e.stderr, e.mean_steps)} "
+                          f"dropped={e.n_dropped}")
+            cfg = engine.WalkConfig(epsilon=eps, num_paths=PATHS, seed=WALK_SEED,
+                                    max_steps=max_steps)
+            for i in range(CAP_RUNS):
+                try:
+                    r = engine.run_path(problem, cfg, k, pts[0], i)
+                except engine.StepCapExceeded:
+                    print(f"{tag} run_path={i} StepCapExceeded")
+                    continue
+                print(f"{tag} run_path={i} {_hex(r.score)} steps={r.steps} "
                       f"exit={_hex(*r.exit_point)} shell={r.stopped_in_shell}")
 
 
@@ -273,6 +319,7 @@ def fields():
 def main():
     warnings.simplefilter("ignore")
     estimates()
+    step_cap()
     uniforms()
     cli_outputs()
     geometry()
