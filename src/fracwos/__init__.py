@@ -8,8 +8,8 @@ source sample weighted by the ball's Green mass.
 
 Modules:
     kernels   - ball Green function / exit kernel, radial laws, constants
-    sampling  - Philox streams per path, Box-Muller, exit-radius transform,
-                interior acceptance probability
+    sampling  - Philox streams per path, Box-Muller, exit-radius and
+                interior-radius transforms
     geometry  - domain primitives (ball, box, L-shape, annulus, hexagon)
     engine    - the walk itself: paths, estimates, diagnostics
     oracle    - deterministic quadrature reference and worked exact cases

@@ -9,7 +9,9 @@ A path started at x0 iterates
 
 and stops when the jump lands outside the domain (score = acc + g(x_{k+1}))
 or inside the epsilon-shell along the boundary (score = acc + g(projected
-point)).  The estimate at x0 is the sample mean of the path scores.
+point)).  The estimate at x0 is the sample mean of the path scores.  A
+third ending guards the run time: a path still walking after max_steps
+steps is dropped, with no g, and left out of the estimate (n_dropped).
 
 Reproducibility contract: path i at start point x0 draws from the addressed
 stream (seed, stream_id = i, substream = hash(x0)) from counter 0.  Each
@@ -29,9 +31,11 @@ walk, so it walks the f = None trajectory.
 
 The walk is one wavefront of rows (_walk).  Each row holds one (point,
 path) pair, with the pair's own stream id and substream, and the pairs are
-issued in the flat order k = p * num_paths + i.  A row whose path ends
-(exit, shell or step cap) is yielded with its score and refilled with the
-next pending pair, from that point's start and counter 0.  So a path
+issued in the flat order k = p * num_paths + i.  A step walks only the
+rows still walking and reads each path's ending from its own masks: out of
+the domain, in the shell, or at the step cap inside.  Those paths are
+yielded with their scores, and their rows are refilled with the next
+pending pairs, from that point's start and counter 0.  So a path
 replays bit-identically alone (run_path), at any wavefront width and next
 to any other points.  Each point's scores land in a full array indexed by
 path and are summed in path-index order once its last path ends, which
@@ -186,13 +190,6 @@ def _check_consistency(problem: ProblemSpec, constants: KernelConstants):
         raise ValueError("constants were built for a different (n, alpha)")
 
 
-def _batch_interior_radii(batch: sampling.StreamBatch, idx, n: int, alpha: float):
-    """Interior radial coordinates of the paths idx, from three words each
-    of their streams through sampling.interior_radius_from_uniforms."""
-    u = batch.uniforms(idx, 3)
-    return sampling.interior_radius_from_uniforms(n, alpha, u[:, 0], u[:, 1], u[:, 2])
-
-
 def _unit_rows(z):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
@@ -205,7 +202,11 @@ def _walk(problem, config, constants, starts, span=None):
 
     A generator: after each step it yields (k, score, steps, dropped,
     exit_pt, shell) for the paths that ended, one array entry per path, and
-    then refills their rows with the next pending pairs in k order."""
+    then refills their rows with the next pending pairs in k order.  A path
+    that exits or stops in the shell scores its source sum plus g at its
+    exit point or boundary projection.  A path dropped at the step cap gets
+    no g: its score is its source sum, its exit point the inside point
+    where it stopped, and its shell flag False."""
     dom = problem.domain
     n, alpha = problem.n, problem.alpha
     N = config.num_paths
@@ -227,17 +228,16 @@ def _walk(problem, config, constants, starts, span=None):
 
     m = min(_WAVEFRONT, stop - nxt)
     batch = sampling.StreamBatch(config.seed, np.zeros(m, dtype=np.uint64))
-    # per row: its pair, state and outcome; r_all carries the live distance
+    # per row: its pair, step count, ball radius, source sum and position
     pair, steps = np.zeros((2, m), dtype=np.int64)
-    r_all, acc, score = np.zeros((3, m))
-    x, exit_pt = np.zeros((2, m, n))
-    shell, dropped, live = np.zeros((3, m), dtype=bool)
-    local = np.arange(m)
+    r_all, acc = np.zeros((2, m))
+    x = np.zeros((m, n))
 
     def refill(rows):
+        """Start the next pending pairs on rows; returns the rows started."""
         nonlocal nxt
         if nxt == stop:  # the tail: every pair has been issued
-            return
+            return rows[:0]
         rows = rows[: stop - nxt]
         k = np.arange(nxt, nxt + rows.size)
         nxt += rows.size
@@ -247,15 +247,13 @@ def _walk(problem, config, constants, starts, span=None):
         r_all[rows] = r0[p]
         acc[rows] = 0.0
         steps[rows] = 0
-        shell[rows] = dropped[rows] = False
-        live[rows] = True
         batch.stream_ids[rows] = i
         batch.substreams[rows] = subs[p]
         batch.position[rows] = 0
+        return rows
 
-    refill(local)
-    while np.any(live):
-        li = local[live]
+    li = refill(np.arange(m))  # the walking rows
+    while li.size:
         xa = x[li]
         r = r_all[li]
 
@@ -275,36 +273,24 @@ def _walk(problem, config, constants, starts, span=None):
         steps[li] += 1
 
         inside, d = dom._locate(xnew)
-        out_idx = li[~inside]
-        if out_idx.size:
-            score[out_idx] = acc[out_idx] + g(xnew[~inside])
-            exit_pt[out_idx] = xnew[~inside]
-            live[out_idx] = False
-        if np.any(inside):
-            xin = xnew[inside]
-            in_idx = li[inside]
-            d = d[inside]
-            in_shell = d < config.epsilon
-            stop_idx = in_idx[in_shell]
-            if stop_idx.size:
-                proj = dom.project_boundary(xin[in_shell])
-                score[stop_idx] = acc[stop_idx] + g(proj)
-                exit_pt[stop_idx] = proj
-                shell[stop_idx] = True
-                live[stop_idx] = False
-            go_on = in_idx[~in_shell]
-            x[go_on] = xin[~in_shell]
-            r_all[go_on] = d[~in_shell]
-
-        capped = live & (steps >= config.max_steps)
-        dropped |= capped
-        live &= ~capped
-
-        ended = li[~live[li]]
-        if ended.size:
-            yield (pair[ended], score[ended], steps[ended], dropped[ended],
-                   exit_pt[ended], shell[ended])
-            refill(ended)
+        shell = inside & (d < config.epsilon)
+        go = inside & ~shell
+        dropped = go & (steps[li] >= config.max_steps)
+        end = ~go | dropped
+        # an ended row is refilled or never read again
+        x[li] = xnew
+        r_all[li] = d
+        if end.any():
+            ended = li[end]
+            pt, shell, dropped = xnew[end], shell[end], dropped[end]
+            if shell.any():
+                pt[shell] = dom.project_boundary(pt[shell])
+            score = acc[ended]
+            hit = ~dropped
+            if hit.any():
+                score[hit] += g(pt[hit])
+            yield pair[ended], score, steps[ended], dropped, pt, shell
+            li = np.concatenate([li[~end], refill(ended)])
 
 
 def check_starts(problem, config, points) -> np.ndarray:

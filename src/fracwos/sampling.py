@@ -259,9 +259,9 @@ def _exit_inverse(table, u):
     return x, y
 
 
-def _exit_gamma(x):
-    """gamma / r for a Beta quantile x, clamped as the walk clamps it."""
-    return 1.0 / np.sqrt(np.maximum(x, _MIN_INV_BETA))
+def _jump_radius(r, x):
+    """gamma = r / sqrt(x) for a Beta quantile x, clamped at _MIN_INV_BETA."""
+    return r / np.sqrt(np.maximum(x, _MIN_INV_BETA))
 
 
 @functools.lru_cache(maxsize=64)
@@ -300,8 +300,8 @@ def _exit_table(alpha: float):
         v[0], 1.0 - v[1],
         np.geomspace(0.5**54, ustar, 64), 1.0 - np.geomspace(0.5**53, 1.0 - ustar, 64),
     ])
-    ref = _exit_gamma(sc.betaincinv(a, b, u))
-    err = float(np.max(np.abs(_exit_gamma(_exit_inverse(table, u)[0]) / ref - 1.0)))
+    ref = _jump_radius(1.0, sc.betaincinv(a, b, u))
+    err = float(np.max(np.abs(_jump_radius(1.0, _exit_inverse(table, u)[0]) / ref - 1.0)))
     if not err <= _EXIT_TABLE_TOL:
         raise RuntimeError(
             f"the exit table at alpha={alpha} is off betaincinv by {err:.3g} "
@@ -310,20 +310,25 @@ def _exit_table(alpha: float):
     return table
 
 
+def _arcsine_inverse(u):
+    """x = I^(-1)(u; 1/2, 1/2) = sin^2(pi u / 2), the exit law at alpha = 1."""
+    return np.sin(np.asarray(u, dtype=float) * (np.pi / 2.0)) ** 2
+
+
 def _beta_inverse(alpha: float, u):
     """(x, 1 - x) for x = I^(-1)(u; alpha/2, 1-alpha/2): the arcsine law's
     sin^2(pi u / 2) and sin^2(pi (1 - u) / 2) at alpha = 1, the certified
     table (_exit_table) at alpha != 1."""
     if alpha == 1.0:
-        u = np.asarray(u, dtype=float)
-        return np.sin(u * (np.pi / 2.0)) ** 2, np.sin((1.0 - u) * (np.pi / 2.0)) ** 2
+        return _arcsine_inverse(u), _arcsine_inverse(1.0 - np.asarray(u, dtype=float))
     return _exit_inverse(_exit_table(float(alpha)), u)
 
 
 def exit_radius_from_uniform(r, alpha: float, u):
-    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts."""
-    x, _ = _beta_inverse(alpha, u)
-    return r / np.sqrt(np.maximum(x, _MIN_INV_BETA))
+    """Map uniforms in (0,1) to jump distances; pure transform, broadcasts.
+    It reads x alone, which at alpha = 1 spares the complement."""
+    x = _arcsine_inverse(u) if alpha == 1.0 else _exit_inverse(_exit_table(float(alpha)), u)[0]
+    return _jump_radius(r, x)
 
 
 def _interior_t(n: int, alpha: float, ux, ut):

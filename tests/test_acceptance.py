@@ -31,7 +31,6 @@ from fracwos import sampling
 from fracwos.engine import (
     ProblemSpec,
     WalkConfig,
-    _batch_interior_radii,
     error_metric,
     estimate_field,
     estimate_point,
@@ -180,7 +179,8 @@ def test_criterion_06_sampler_laws():
             assert d_e < _KS_1PCT, f"exit law n={n} alpha={alpha}: {d_e}"
 
             batch = sampling.StreamBatch(456, paths, 1000 + idx)
-            s = _batch_interior_radii(batch, paths, n, alpha)
+            s = sampling.interior_radius_from_uniforms(
+                n, alpha, *batch.uniforms(paths, 3).T)
             ui = np.sort(_interior_radial_cdf(np.sort(s), n, alpha))
             d_i = _ks_sqrtn_d(ui)
             assert d_i < _KS_1PCT, f"interior law n={n} alpha={alpha}: {d_i}"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracwos import cli
-from fracwos.engine import WalkConfig, estimate_point
+from fracwos.engine import Estimate, WalkConfig, estimate_point
 from fracwos.kernels import make_constants
 from fracwos.oracle import make_case
 
@@ -276,9 +276,16 @@ def test_steps_table_sorted_and_monotone(tmp_path):
     assert summary["monotone_in_abs_x"] is True
 
 
-def test_steps_reports_a_non_monotone_table(tmp_path):
-    # the config above with 400 paths and walk seed 1: Monte Carlo noise
-    # breaks the order, which the summary reports instead of failing the run
+def test_steps_reports_a_non_monotone_table(tmp_path, monkeypatch):
+    # the config above with 400 paths and walk seed 1, walked by a stand-in
+    # whose mean steps fall with |x|: the summary reports the broken order
+    # instead of failing the run, whatever the random stream
+    def falling_steps(problem, walk, constants, pts):
+        radii = np.linalg.norm(pts - problem.domain.center, axis=1)
+        return [Estimate(mean=0.0, variance=0.0, stderr=0.0, n_paths=walk.num_paths,
+                         mean_steps=2.0 - r) for r in radii]
+
+    monkeypatch.setattr(cli, "estimate_field", falling_steps)
     cfg = _cfg(
         tmp_path,
         case="disk_constant_source",

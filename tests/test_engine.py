@@ -503,6 +503,24 @@ def test_step_cap_drops_paths_with_warning():
         run_path(prob, tight, k, x0, idx)
 
 
+def test_dropped_paths_are_yielded_where_they_stopped():
+    # a path dropped at the step cap gets no g: it is yielded once, with its
+    # source sum as score (0.0 here, without f), shell False and the point
+    # where it stopped, inside the ball and at least epsilon from its boundary
+    dom = BallDomain(np.array([3.0, 0.0]), 1.0)
+    prob = ProblemSpec(n=2, alpha=1.5, f=None, g=engine.ConstantField(0.0), domain=dom)
+    cfg = WalkConfig(epsilon=1e-6, num_paths=200, seed=3, max_steps=1)
+    landed = list(_walk(prob, cfg, make_constants(2, 1.5), np.array([[3.2, 0.1]])))
+    k, score, steps, dropped, exit_pt, shell = map(np.concatenate, zip(*landed))
+    assert np.array_equal(np.sort(k), np.arange(200))
+    assert np.all(steps == 1)
+    assert 0 < dropped.sum() < 200
+    inside, d = dom._locate(exit_pt[dropped])
+    assert np.all(inside) and np.all(d >= cfg.epsilon)
+    assert not np.any(shell[dropped])
+    assert np.all(score[dropped] == 0.0)
+
+
 def test_all_paths_capped_is_an_error():
     # alpha near 2 keeps the jumps short, so with max_steps = 1 and this seed
     # none of the four paths manages to leave the domain

@@ -3,9 +3,9 @@
 The Philox block function is validated against numpy's implementation and
 the published Random123 known-answer vector.  The distributional tests
 draw through what the walk runs (StreamBatch, box_muller,
-exit_radius_from_uniform, interior_radius_from_uniforms and
-engine._batch_interior_radii) at moderate sample sizes; the full 1e5-draw
-KS battery lives in the acceptance suite.
+exit_radius_from_uniform, and interior_radius_from_uniforms on three words
+of each path's stream, as a step reads them) at moderate sample sizes; the
+full 1e5-draw KS battery lives in the acceptance suite.
 """
 
 from unittest.mock import patch
@@ -20,7 +20,7 @@ from numpy.random import Philox
 from zeta_reference import gauss_jacobi_rule
 
 from fracwos import kernels, sampling
-from fracwos.engine import _batch_interior_radii, _unit_rows
+from fracwos.engine import _unit_rows
 from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
@@ -450,7 +450,8 @@ def test_interior_radius_ks_moderate():
     for n, alpha in [(2, 0.4), (3, 1.0), (10, 1.6)]:
         N = 20_000
         idx = np.arange(N)
-        s = _batch_interior_radii(StreamBatch(31, idx, n * 100), idx, n, alpha)
+        s = interior_radius_from_uniforms(
+            n, alpha, *StreamBatch(31, idx, n * 100).uniforms(idx, 3).T)
         assert np.all((s > 0.0) & (s < 1.0))
         u = np.sort(_interior_cdf(np.sort(s), n, alpha))
         k = np.arange(1, N + 1)
@@ -464,7 +465,7 @@ def test_sample_interior_point_stays_inside():
     ball = BallDomain(np.array([0.5, 0.5, 0.0]), 2.0)
     idx = np.arange(500)
     batch = StreamBatch(13, idx)
-    s = _batch_interior_radii(batch, idx, 3, 0.9)
+    s = interior_radius_from_uniforms(3, 0.9, *batch.uniforms(idx, 3).T)
     ydir = _unit_rows(box_muller(batch.uniforms(idx, 4), 3))
     pts = ball.center + (ball.radius * s)[:, None] * ydir
     assert np.all(ball.contains(pts))
