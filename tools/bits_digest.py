@@ -23,7 +23,10 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
   then, for paths 0 to CAP_RUNS - 1 from the first point, the
   ``run_path`` realization or ``StepCapExceeded``;
 * ``StreamBatch.uniforms`` across the Philox tile edges: the rows whose
-  blocks meet an edge in full, and a blake2b digest of every draw;
+  blocks meet an edge in full, and a blake2b digest of every draw; then
+  one draw of 4 (_TILE_BLOCKS + 9) words per row on three rows with high
+  key, substream and position words: the two blocks at each tile cut and
+  a blake2b digest;
 * ``cli.main``, in process, on each of CLI_RUNS in a temp directory: the
   exit code, and a blake2b digest of every CSV and of every summary JSON
   with ``wall_time_s`` dropped and the temp directory cut from its paths;
@@ -152,6 +155,16 @@ def uniforms():
             print(f"uniforms m={m} row={r} {_hex(*u[r])}")
         digest = hashlib.blake2b(u.tobytes(), digest_size=16).hexdigest()
         print(f"uniforms m={m} all={digest} position={int(batch.position.sum())}")
+    # high key, counter and position words; each row longer than a tile
+    batch = sampling.StreamBatch(0xABCDEF, [5, 2**64 - 3, 77], [0, 9, 2**40])
+    batch.position = np.uint64(2**62) + batch.substreams
+    nblocks = sampling._TILE_BLOCKS + 9
+    u = batch.uniforms(np.arange(3), 4 * nblocks)
+    for e in range(sampling._TILE_BLOCKS, 3 * nblocks, sampling._TILE_BLOCKS):
+        for r, j in (divmod(e - 1, nblocks), divmod(e, nblocks)):
+            print(f"uniforms high row={r} block={j} {_hex(*u[r, 4 * j:4 * j + 4])}")
+    digest = hashlib.blake2b(u.tobytes(), digest_size=16).hexdigest()
+    print(f"uniforms high all={digest} position={[int(p) for p in batch.position]}")
 
 
 _HEXAGON = {"domain": {"type": "hexagon", "circumradius": 1.2, "center": [0.1, 0.0]},
