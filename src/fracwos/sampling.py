@@ -11,7 +11,7 @@ The solver keys stream_id by path index and substream by a hash of the
 evaluation point, which makes whole-field runs order-independent and
 duplicate points bit-identical.  _philox_rounds runs the ten rounds in place
 on (2, T) lanes A = (c0, c2), B = (c1, c3) and key (k0, k1), which
-_philox_tiles assigns from a flat block list, _TILE_BLOCKS at a time.
+StreamBatch.uniforms fills from its flat block list, _TILE_BLOCKS at a time.
 
 * ``StreamBatch`` - one addressed stream per path, each with its own block
   counter; ``uniforms`` draws whole blocks for a subset of the paths.
@@ -62,7 +62,6 @@ from numpy.polynomial import chebyshev
 __all__ = [
     "StreamBatch",
     "box_muller",
-    "philox4x64",
     "exit_radius_from_uniform",
     "interior_radius_from_uniforms",
     "point_substream",
@@ -139,39 +138,6 @@ def _philox_rounds(a, b, key):
     return a, l[::-1]
 
 
-def _philox_tiles(c0, c1, c2, c3, k0, k1):
-    """Philox4x64-10 on a flat list of blocks, one tile of _TILE_BLOCKS at a
-    time -> yields (slice, A, B) as _philox_rounds returns them.
-
-    c0 is the 1-d array of the blocks' first counter words; each other word
-    is an array of the same length or one value shared by every block.  The
-    lanes are assigned straight from the words, and a block's words do not
-    depend on the tiling."""
-    for s in range(0, c0.shape[0], _TILE_BLOCKS):
-        t = slice(s, s + _TILE_BLOCKS)
-        a, b, key = np.empty((3, 2, c0[t].shape[0]), dtype=np.uint64)
-        for lane, w0, w1 in ((a, c0, c2), (b, c1, c3), (key, k0, k1)):
-            lane[0] = w0[t] if np.ndim(w0) else w0
-            lane[1] = w1[t] if np.ndim(w1) else w1
-        yield (t, *_philox_rounds(a, b, key))
-
-
-def philox4x64(c0, c1, c2, c3, k0, k1):
-    """One Philox4x64-10 block per element; inputs broadcast as uint64 arrays.
-
-    Returns the four uint64 output words of the Random123 block function.
-    numpy.random.Philox emits the block at counter+1 first (it advances
-    before generating); the known-answer test accounts for that offset.
-    """
-    ins = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.uint64))
-                                for v in (c0, c1, c2, c3, k0, k1)))
-    out = np.empty((ins[0].size, 4), dtype=np.uint64)
-    for t, a, b in _philox_tiles(*(v.ravel() for v in ins)):
-        out[t, 0::2] = a.T
-        out[t, 1::2] = b.T
-    return tuple(out[:, w].reshape(ins[0].shape) for w in range(4))
-
-
 def _store_unit_open(dst, words):
     """Write uint64 words as float64 uniforms on the open interval (0, 1).
 
@@ -203,7 +169,9 @@ class StreamBatch:
 
     def uniforms(self, idx, m: int):
         """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m):
-        block j of row i has counter (position[i] + j, substreams[i], 0, 0)."""
+        block j of row i has counter (position[i] + j, substreams[i], 0, 0)
+        and key (seed, stream_ids[i]).  The blocks run _TILE_BLOCKS at a
+        time; a block's words do not depend on the tiling."""
         idx = np.asarray(idx, dtype=np.intp)
         nblocks = -(-m // 4)
         pos, sub, ids = self.position[idx], self.substreams[idx], self.stream_ids[idx]
@@ -212,7 +180,13 @@ class StreamBatch:
             c0 = (pos[:, None] + np.arange(nblocks, dtype=np.uint64)).ravel()
             sub, ids = np.repeat(sub, nblocks), np.repeat(ids, nblocks)
         out = np.empty((c0.shape[0], 4))
-        for t, a, b in _philox_tiles(c0, sub, 0, 0, self.seed, ids):
+        for lo in range(0, c0.shape[0], _TILE_BLOCKS):
+            t = slice(lo, lo + _TILE_BLOCKS)
+            a, b, key = np.empty((3, 2, c0[t].shape[0]), dtype=np.uint64)
+            a[0], a[1] = c0[t], 0
+            b[0], b[1] = sub[t], 0
+            key[0], key[1] = self.seed, ids[t]
+            a, b = _philox_rounds(a, b, key)
             _store_unit_open(out[t, 0::2].T, a)
             _store_unit_open(out[t, 1::2].T, b)
         self.position[idx] = pos + np.uint64(nblocks)

@@ -1,7 +1,10 @@
 """Counter-based random streams and the two jump distributions.
 
-The Philox block function is validated against numpy's implementation and
-the published Random123 known-answer vector.  The distributional tests
+The Philox rounds (_philox_rounds, on lanes built by hand) are checked word
+for word against the three Random123 philox4x64-10 known-answer vectors and
+numpy.random.Philox.  StreamBatch.uniforms, the one entry the walk draws
+through, is checked against numpy's words across tile cuts, with per-row
+keys and high counter words.  The distributional tests
 draw through what the walk runs (StreamBatch, box_muller,
 exit_radius_from_uniform, and interior_radius_from_uniforms on three words
 of each path's stream, as a step reads them) at moderate sample sizes; the
@@ -25,11 +28,11 @@ from fracwos.geometry import BallDomain
 from fracwos.sampling import (
     _TILE_BLOCKS,
     StreamBatch,
+    _philox_rounds,
     _store_unit_open,
     box_muller,
     exit_radius_from_uniform,
     interior_radius_from_uniforms,
-    philox4x64,
     point_substream,
 )
 
@@ -41,34 +44,58 @@ _KS_1PCT = 1.6276
 # Philox block function
 
 
+def _philox_words(counter, key):
+    """Philox4x64-10 words (w0, w1, w2, w3) of each block -> (T, 4) uint64,
+    from _philox_rounds on lanes built by hand: counter is (c0, c1, c2, c3)
+    and key (k0, k1), each word a length-T sequence."""
+    c = np.array(counter, dtype=np.uint64)
+    a, b = _philox_rounds(c[0::2].copy(), c[1::2].copy(), np.array(key, dtype=np.uint64))
+    return np.stack((a[0], b[0], a[1], b[1]), axis=1)
+
+
+# the Random123 philox4x64-10 known-answer vectors: counter, key, words
+_KAT = [
+    ((0, 0, 0, 0), (0, 0),
+     (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+    ((2**64 - 1,) * 4, (2**64 - 1,) * 2,
+     (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
+    ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+     (0x452821E638D01377, 0xBE5466CF34E90C6C),
+     (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6)),
+]
+
+
 def test_philox_random123_known_answer():
-    # canonical Random123 test vector: zero counter, zero key
-    out = philox4x64(0, 0, 0, 0, 0, 0)
-    words = [int(w[0]) for w in out]
-    assert words == [
-        0x16554D9ECA36314C,
-        0xDB20FE9D672D0FDC,
-        0xD7E772CEE186176B,
-        0x7E68B68AEC7BA23B,
-    ]
+    # each vector alone, then all three as the lanes of one call
+    for counter, key, words in _KAT:
+        got = _philox_words([[c] for c in counter], [[k] for k in key])
+        assert [int(w) for w in got[0]] == list(words), hex(counter[0])
+    got = _philox_words(list(zip(*(c for c, _, _ in _KAT))),
+                        list(zip(*(k for _, k, _ in _KAT))))
+    assert [[int(w) for w in row] for row in got] == [list(w) for _, _, w in _KAT]
 
 
 def test_philox_matches_numpy_blocks():
     # numpy advances the counter before emitting, so its first block is
-    # ours at counter0 + 1
+    # ours at counter0 + 1; c2 and c3 are set, the top bit of c2 too
     k0, k1 = 0xDEADBEEF, 0x12345
-    ref = Philox(counter=[7, 9, 0, 0], key=[k0, k1]).random_raw(8)
-    for off in (0, 1):
-        mine = philox4x64(8 + off, 9, 0, 0, k0, k1)
-        assert [int(w[0]) for w in mine] == [int(v) for v in ref[4 * off : 4 * off + 4]]
+    c2, c3 = 2**63 + 5, 2**64 - 2
+    ref = Philox(counter=np.array([7, 9, c2, c3], dtype=np.uint64),
+                 key=np.array([k0, k1], dtype=np.uint64)).random_raw(8)
+    got = _philox_words([[8, 9], [9, 9], [c2, c2], [c3, c3]], [[k0, k0], [k1, k1]])
+    assert [int(w) for w in got.ravel()] == [int(v) for v in ref]
 
 
 def test_philox_vectorized_counter_axis():
-    c0 = np.arange(5, dtype=np.uint64)
-    out = philox4x64(c0, 3, 0, 0, 11, 13)
-    for i in range(5):
-        single = philox4x64(int(c0[i]), 3, 0, 0, 11, 13)
-        assert all(int(out[w][i]) == int(single[w][0]) for w in range(4))
+    # a lane of blocks equals the blocks one at a time, on either side of
+    # the constant-copy cut in _philox_rounds; c0 wraps past 2^64 - 1
+    for blocks in (5, _TILE_BLOCKS // 2 + 1):
+        c0 = np.arange(blocks, dtype=np.uint64) + np.uint64(2**64 - 3)
+        ones = np.ones(blocks, dtype=np.uint64)
+        out = _philox_words([c0, 3 * ones, 0 * ones, 7 * ones], [11 * ones, 13 * ones])
+        for i in sorted({0, 2, 3, blocks // 2, blocks - 1}):
+            single = _philox_words([[c0[i]], [3], [0], [7]], [[11], [13]])
+            assert np.array_equal(out[i], single[0])
 
 
 def _numpy_words(c0, c1, k0, k1, nblocks):
@@ -86,17 +113,19 @@ def _unit_open(words):
 
 @pytest.mark.parametrize("rows, nblocks", [(3, _TILE_BLOCKS // 2 + 5), (2, _TILE_BLOCKS + 9)])
 def test_philox_2d_counter_array_spanning_tiles(rows, nblocks):
-    # more blocks than one tile, cut between rows and within a row; the
-    # keys k1 and counter words c1 stay one per row
-    k1 = np.array([[5], [2**64 - 3], [77]], dtype=np.uint64)[:rows]
-    c1 = np.array([[0], [9], [2**40]], dtype=np.uint64)[:rows]
-    c0 = np.uint64(2**62) + np.arange(nblocks, dtype=np.uint64)[None, :] + c1
-    out = philox4x64(c0, c1, 0, 0, 0xABCDEF, k1)
-    assert all(w.shape == (rows, nblocks) for w in out)
-    words = np.stack(out, axis=2).reshape(rows, 4 * nblocks)
+    # more blocks than one tile, cut between rows and within a row, drawn
+    # through uniforms; keys k1, substreams c1 and positions 2^62 + c1 are
+    # one per row, with high words
+    k1 = [5, 2**64 - 3, 77][:rows]
+    c1 = [0, 9, 2**40][:rows]
+    batch = StreamBatch(0xABCDEF, k1, c1)
+    batch.position = np.uint64(2**62) + batch.substreams
+    got = batch.uniforms(np.arange(rows), 4 * nblocks)
+    assert got.shape == (rows, 4 * nblocks)
     for i in range(rows):
-        ref = _numpy_words(c0[i, 0], c1[i, 0], 0xABCDEF, k1[i, 0], nblocks)
-        assert np.array_equal(words[i], ref)
+        ref = _numpy_words(2**62 + c1[i], c1[i], 0xABCDEF, k1[i], nblocks)
+        assert np.array_equal(got[i], _unit_open(ref))
+    assert np.array_equal(batch.position, np.uint64(2**62 + nblocks) + batch.substreams)
 
 
 @pytest.mark.parametrize("m", [4, 12])
