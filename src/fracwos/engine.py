@@ -122,6 +122,13 @@ class ProblemSpec:
             raise ValueError("exterior data g is required (a field of zeros for g = 0)")
 
 
+def _check_integer(value, name):
+    """ValueError naming name unless value is a Python or numpy integer; a
+    bool or a float, even an integral one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Run parameters: shell width, path count, seed, safety caps."""
@@ -134,6 +141,8 @@ class WalkConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        for name in ("num_paths", "seed", "max_steps"):
+            _check_integer(getattr(self, name), name)
         if self.num_paths < 1:
             raise ValueError("num_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -312,7 +321,13 @@ def check_starts(problem, config, points) -> np.ndarray:
 
 
 def run_path(problem, config, constants, x0, path_idx: int) -> PathRealization:
-    """Run a single path; bit-identical to path path_idx of estimate_point."""
+    """Run a single path; bit-identical to path path_idx of estimate_point.
+    path_idx is an integer in [0, 2^63 - 1): the walk numbers its paths,
+    up to path_idx + 1 of them, in int64."""
+    _check_integer(path_idx, "path_idx")
+    if not 0 <= path_idx < 2**63 - 1:
+        raise ValueError(f"path_idx must be in [0, 2^63 - 1), got {path_idx!r}")
+    path_idx = int(path_idx)
     _check_consistency(problem, constants)
     start = check_starts(problem, config, np.reshape(x0, (1, -1)))
     # the one pair k = path_idx of a single point with path_idx + 1 paths

@@ -98,6 +98,23 @@ def test_single_path_matches_run_path():
     assert not prob.domain.contains(pr.exit_point) or pr.stopped_in_shell
 
 
+def test_run_path_takes_an_integer_path_index():
+    prob = _ball_problem(2, 1.0, g=_const_field(1.0))
+    cfg = WalkConfig(epsilon=1e-4, num_paths=1, seed=21)
+    k = make_constants(2, 1.0)
+    x0 = np.array([0.3, -0.2])
+    for bad in (True, 1.5, 2.0):
+        with pytest.raises(ValueError, match="path_idx must be an integer"):
+            run_path(prob, cfg, k, x0, bad)
+    for bad in (-1, 2**63 - 1, 2**64, np.uint64(2**64 - 1)):
+        with pytest.raises(ValueError, match=r"path_idx must be in \[0, 2\^63 - 1\)"):
+            run_path(prob, cfg, k, x0, bad)
+    # numpy integers replay the same path; the largest index walks
+    a, b = run_path(prob, cfg, k, x0, np.uint64(1)), run_path(prob, cfg, k, x0, 1)
+    assert a.steps == b.steps and np.array_equal(a.exit_point, b.exit_point)
+    assert run_path(prob, cfg, k, x0, 2**63 - 2).score == 1.0
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 
@@ -685,6 +702,15 @@ def test_walk_config_validation():
         WalkConfig(epsilon=1e-6, num_paths=10, seed=2**64)
     with pytest.raises(ValueError):
         WalkConfig(epsilon=1e-6, num_paths=10, seed=0, max_steps=0)
+    # counts and the seed are integers: no bool, no float, integral or not
+    for field, bad in (("seed", 1.5), ("seed", True), ("num_paths", 200.0),
+                       ("num_paths", True), ("max_steps", 2.5), ("max_steps", False)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            WalkConfig(**{**ok, field: bad})
+    # numpy integers are integers
+    cfg = WalkConfig(epsilon=1e-6, num_paths=np.int64(10), seed=np.uint64(2**64 - 1),
+                     max_steps=np.int32(5))
+    assert cfg.num_paths == 10 and cfg.seed == 2**64 - 1 and cfg.max_steps == 5
 
 
 def test_start_point_validation():
