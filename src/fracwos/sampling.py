@@ -220,16 +220,19 @@ def _exit_side(side, v):
 def _exit_inverse(table, u):
     """(x, 1 - x) for x = I^(-1)(u; a, b) from an exit table: x = w G(w) for
     u <= u*, and 1 - x = w G(w) at tail probability 1 - u above it; the
-    other of the pair is 1 minus the one that is at most 1/2."""
+    other of the pair is 1 minus the one that is at most 1/2.  A side that
+    no u falls on is skipped: in a narrow step one nearly always is."""
     u = np.asarray(u, dtype=float)
     ustar, sides = table
     x, y = np.empty((2,) + u.shape)
     lower = u <= ustar
-    upper = ~lower
-    x[lower] = _exit_side(sides[0], u[lower])
-    y[lower] = 1.0 - x[lower]
-    y[upper] = _exit_side(sides[1], 1.0 - u[upper])
-    x[upper] = 1.0 - y[upper]
+    if lower.any():
+        x[lower] = _exit_side(sides[0], u[lower])
+        y[lower] = 1.0 - x[lower]
+    if not lower.all():
+        upper = ~lower
+        y[upper] = _exit_side(sides[1], 1.0 - u[upper])
+        x[upper] = 1.0 - y[upper]
     return x, y
 
 

@@ -407,6 +407,21 @@ def test_exit_table_build_checks_its_tolerance():
             sampling._exit_table.__wrapped__(0.7)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.9])
+def test_exit_inverse_rows_do_not_depend_on_the_batch(alpha):
+    # a row's (x, 1 - x) is the same alone, in a batch on one side of u*
+    # (the other side skipped) and in a batch on both sides; no rows, no pair
+    table = sampling._exit_table(alpha)
+    ustar = table[0]
+    u = np.array([0.5**54, ustar / 2, ustar, np.nextafter(ustar, 1.0),
+                  (1.0 + ustar) / 2, 1.0 - 0.5**53])
+    x, y = sampling._exit_inverse(table, u)
+    for rows in ([0], [4], [0, 1, 2], [3, 4, 5]):
+        xs, ys = sampling._exit_inverse(table, u[rows])
+        assert xs.tobytes() == x[rows].tobytes() and ys.tobytes() == y[rows].tobytes()
+    assert all(v.shape == (0,) for v in sampling._exit_inverse(table, u[:0]))
+
+
 def test_alpha_one_exit_inverse_is_betaincinv_bit_for_bit():
     # at alpha = 1 the exit law is the arcsine law, x = sin^2(pi u / 2), and
     # 1 - x is sin^2(pi (1 - u) / 2); both equal scipy's betaincinv(1/2, 1/2)
