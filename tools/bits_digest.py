@@ -36,7 +36,13 @@ an empty ``diff`` of the output at two commits is the evidence.  It prints
   MIN_DIST from the boundary, and of ``project_boundary``;
 * for every case of ``oracle.CASE_NAMES`` at each alpha in ALPHAS, on a
   cloud of FIELD_ROWS rows (``_field_rows``): blake2b digests of f, g and
-  ``u_exact`` evaluated on the whole cloud in one call.
+  ``u_exact`` evaluated on the whole cloud in one call;
+* the CLI's named fields of inline cases (``cli._builtin_field``) that are
+  not constants, on the cloud of each of INLINE_FIELD_CASES: a blake2b
+  digest of the values;
+* for each of KERNEL_BALLS at each alpha in ALPHAS: blake2b digests of
+  ``poisson_kernel`` and ``green_function`` on a batch of KERNEL_ROWS
+  point pairs, and ``float.hex`` of each on one single pair.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from fracwos.geometry import (  # noqa: E402
     HexagonDomain,
     LShapeDomain,
 )
-from fracwos.kernels import make_constants  # noqa: E402
+from fracwos.kernels import green_function, make_constants, poisson_kernel  # noqa: E402
 
 ALPHAS = (0.5, 1.0, 1.9)
 EPSILONS = (1e-6, 0.05)
@@ -329,6 +335,50 @@ def fields():
             print(f"fields {name} alpha={alpha} rows={FIELD_ROWS} {digests}")
 
 
+INLINE_FIELDS = ("gaussian", "inverse_cubic")
+INLINE_FIELD_CASES = ("disk_constant_source", "ball10_constant_source")
+
+
+def inline_fields():
+    for name in INLINE_FIELD_CASES:
+        case = oracle.make_case(name)
+        pts = _field_rows(case)
+        for field in INLINE_FIELDS:
+            fn = cli._builtin_field(field, case.n, 1.0)
+            print(f"inline_fields {field} n={case.n} rows={FIELD_ROWS} "
+                  f"{_blake(np.asarray(fn(pts)).tobytes())}")
+
+
+KERNEL_BALLS = (BallDomain(np.array([0.3, -0.2]), 1.5),
+                BallDomain(np.array([1.0, -2.0, 0.5]), 2.5))
+KERNEL_ROWS = 2000
+KERNEL_SEED = 2718
+
+
+def _ball_rows(ball, rng, lo, hi):
+    """KERNEL_ROWS points of the ball at radii in (lo, hi) times its radius."""
+    v = rng.standard_normal((KERNEL_ROWS, ball.n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    s = rng.uniform(lo, hi, KERNEL_ROWS)
+    return ball.center + (ball.radius * s)[:, None] * v
+
+
+def kernels():
+    for ball in KERNEL_BALLS:
+        rng = np.random.default_rng(KERNEL_SEED)
+        x = _ball_rows(ball, rng, 0.0, 0.99)
+        y = _ball_rows(ball, rng, 0.0, 0.99)
+        z = _ball_rows(ball, rng, 1.01, 5.0)
+        for alpha in ALPHAS:
+            k = make_constants(ball.n, alpha)
+            tag = f"kernels n={ball.n} alpha={alpha}"
+            for label, fn, other in (("poisson", poisson_kernel, z),
+                                     ("green", green_function, y)):
+                batch = _blake(np.asarray(fn(ball, x, other, k)).tobytes())
+                print(f"{tag} {label} rows={KERNEL_ROWS} {batch} "
+                      f"single={_hex(fn(ball, x[0], other[0], k))}")
+
+
 def main():
     warnings.simplefilter("ignore")
     estimates()
@@ -337,6 +387,8 @@ def main():
     cli_outputs()
     geometry()
     fields()
+    inline_fields()
+    kernels()
 
 
 if __name__ == "__main__":
