@@ -80,7 +80,7 @@ from .geometry import (
     LShapeDomain,
 )
 from .kernels import make_constants
-from .oracle import ExactCase, constant_source, make_case
+from .oracle import ExactCase, _gaussian, _inverse_cubic, constant_source, make_case
 
 
 def _fmt(v) -> str:
@@ -169,9 +169,9 @@ def _builtin_field(name, n: int, alpha: float):
     if name == "constant_source":
         return ConstantField(constant_source(n, alpha))
     if name == "gaussian":
-        return lambda x: np.exp(-np.sum(np.atleast_2d(x) ** 2, axis=1))
+        return _gaussian
     if name == "inverse_cubic":
-        return lambda x: (1.0 + np.sum(np.atleast_2d(x) ** 2, axis=1)) ** -1.5
+        return _inverse_cubic
     raise ValueError(f"unknown builtin field: {name!r}")
 
 

@@ -118,27 +118,27 @@ def _lex_smallest(cands, dists):
     return cands[np.arange(m), first]
 
 
+def _dot(x, c):
+    """x @ c for (m, 2) rows x, column by column: a matrix product sums in an
+    order that depends on the row count, and a point's bits must not."""
+    return x[:, 0] * c[0] + x[:, 1] * c[1]
+
+
 def _segment_distance(pts, a, b):
     """Distance and nearest point from pts (m,2) to the segment [a, b]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     ab = b - a
-    denom = float(ab @ ab)
-    # column by column, not a matrix product, so that a point's bits do not
-    # depend on the batch (see HexagonDomain._max_support)
-    t = ((pts[:, 0] - a[0]) * ab[0] + (pts[:, 1] - a[1]) * ab[1]) / denom
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip(_dot(pts - a, ab) / float(ab @ ab), 0.0, 1.0)
     foot = a + t[:, None] * ab
     d = np.linalg.norm(pts - foot, axis=1)
     return d, foot
 
 
-def _project_edges(pts, edges):
-    """A nearest point of the segments edges = [(a, b), ...] to each row of
-    pts (m, 2), with _lex_smallest's tie-breaking."""
-    cands = np.empty((pts.shape[0], len(edges), 2))
-    dists = np.empty((pts.shape[0], len(edges)))
-    for kk, (a, b) in enumerate(edges):
+def _project_polygon(pts, verts):
+    """A nearest point of the closed polygon with vertices verts (K, 2), in
+    order, to each row of pts (m, 2), with _lex_smallest's tie-breaking."""
+    cands = np.empty((pts.shape[0], len(verts), 2))
+    dists = np.empty((pts.shape[0], len(verts)))
+    for kk, (a, b) in enumerate(zip(verts, np.roll(verts, -1, axis=0))):
         dists[:, kk], cands[:, kk, :] = _segment_distance(pts, a, b)
     return _lex_smallest(cands, dists)
 
@@ -221,7 +221,6 @@ class LShapeDomain(Domain):
     _VERTS = np.array(
         [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]
     )
-    _EDGES = list(zip(_VERTS, np.roll(_VERTS, -1, axis=0)))
 
     def __init__(self):
         self.n = 2
@@ -235,7 +234,7 @@ class LShapeDomain(Domain):
         return inside, np.minimum(1.0 - a.max(axis=1), quadrant)
 
     def _project(self, pts):
-        return _project_edges(pts, self._EDGES)
+        return _project_polygon(pts, self._VERTS)
 
     def bounding_box(self):
         return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
@@ -303,21 +302,16 @@ class HexagonDomain(Domain):
         self._normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         self.inradius = self.circumradius * np.sqrt(3.0) / 2.0
         vang = np.deg2rad(60.0 * np.arange(6))
-        verts = self.center[None, :] + self.circumradius * np.stack(
+        self._verts = self.center[None, :] + self.circumradius * np.stack(
             [np.cos(vang), np.sin(vang)], axis=1
         )
-        self._edges = list(zip(verts, np.roll(verts, -1, axis=0)))
 
     def _max_support(self, pts):
-        # the largest of the six (x - center) . normal, column by column: a
-        # matrix product sums in an order that depends on the row count, and
-        # a point's bits must not
-        x = pts[:, 0] - self.center[0]
-        y = pts[:, 1] - self.center[1]
-        (nx, ny), *rest = self._normals
-        s = x * nx + y * ny
-        for nx, ny in rest:
-            np.maximum(s, x * nx + y * ny, out=s)
+        # the largest of the six (x - center) . normal
+        rel = pts - self.center
+        s = _dot(rel, self._normals[0])
+        for c in self._normals[1:]:
+            np.maximum(s, _dot(rel, c), out=s)
         return s
 
     def _locate(self, pts):
@@ -328,7 +322,7 @@ class HexagonDomain(Domain):
     def _project(self, pts):
         # segment projection stays correct for exterior queries too, where the
         # perpendicular foot of the nearest edge line can fall past a vertex
-        return _project_edges(pts, self._edges)
+        return _project_polygon(pts, self._verts)
 
     def bounding_box(self):
         return self.center - self.circumradius, self.center + self.circumradius

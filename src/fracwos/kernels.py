@@ -123,10 +123,8 @@ def make_constants(n: int, alpha: float) -> KernelConstants:
 
 
 def _center_relative(ball: BallDomain, pts):
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    rel = np.atleast_2d(pts) - ball.center[None, :]
-    return rel, single
+    pts, single = ball._coerce(pts)
+    return pts - ball.center[None, :], single
 
 
 def poisson_kernel(ball: BallDomain, x, z, k: KernelConstants):

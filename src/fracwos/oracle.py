@@ -35,6 +35,7 @@ from .geometry import (
     Domain,
     HexagonDomain,
     LShapeDomain,
+    _dot,
 )
 from .kernels import make_constants
 
@@ -237,12 +238,22 @@ def _r2(x):
 
 
 _ZERO = ConstantField(0.0)
+# the phases of the stripe's and the hexagon's oscillatory sources
+_C1 = np.array([np.pi / 3.0, -np.pi / 4.0])
+_C2 = np.array([-np.pi / 2.0, 2.0 * np.pi / 3.0])
+# the unit balls whose case is the bump solution with a constant source
+_BUMP_DIMS = {"disk_constant_source": 2, "ball10_constant_source": 10}
 
 
-def _dot(x, c):
-    """x @ c for (m, 2) rows x, column by column: a matrix product sums in an
-    order that depends on the row count, and a point's bits must not."""
-    return x[:, 0] * c[0] + x[:, 1] * c[1]
+def _gaussian(x):
+    """exp(-|x|^2): lshape_gaussian's solution, and the CLI's `gaussian`."""
+    return np.exp(-_r2(x))
+
+
+def _inverse_cubic(x):
+    """(1 + |x|^2)^(-3/2): disk_inverse_cubic's solution, and the CLI's
+    `inverse_cubic`."""
+    return (1.0 + _r2(x)) ** -1.5
 
 
 def _signed_power(base, p: float):
@@ -271,13 +282,14 @@ def constant_source(n: int, alpha: float) -> float:
 
 def make_case(name: str, alpha: float = 1.0) -> ExactCase:
     """Build one benchmark case at the given exponent."""
-    if name == "disk_constant_source":
-        # radially symmetric bump solution on the unit disk; the source is
-        # the constant 2^alpha * Gamma(1 + alpha/2)^2 and g vanishes
-        c = constant_source(2, alpha)
+    if name in _BUMP_DIMS:
+        # radially symmetric bump solution on the unit ball; the source is
+        # the constant constant_source(n, alpha) and g vanishes (at n = 10,
+        # the solution the cited constant source belongs to)
+        n = _BUMP_DIMS[name]
         return ExactCase(
-            name, 2, alpha, BallDomain(np.zeros(2), 1.0),
-            ConstantField(c), _ZERO, _bump_power(alpha),
+            name, n, alpha, BallDomain(np.zeros(n), 1.0),
+            ConstantField(constant_source(n, alpha)), _ZERO, _bump_power(alpha),
         )
     if name == "disk_inverse_cubic":
         # u(x) = (1 + |x|^2)^(-3/2) globally; the source on the disk is
@@ -287,18 +299,8 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         def f(x, c=c, alpha=alpha):
             return c * sc.hyp2f1((2.0 + alpha) / 2.0, (3.0 + alpha) / 2.0, 1.0, -_r2(x))
 
-        def u(x):
-            return (1.0 + _r2(x)) ** -1.5
-
-        return ExactCase(name, 2, alpha, BallDomain(np.zeros(2), 1.0), f, u, u)
-    if name == "ball10_constant_source":
-        # ten-dimensional unit ball with constant source; registered with
-        # the |x|^2 bump, the solution the cited constant source belongs to
-        c = constant_source(10, alpha)
-        return ExactCase(
-            name, 10, alpha, BallDomain(np.zeros(10), 1.0),
-            ConstantField(c), _ZERO, _bump_power(alpha),
-        )
+        return ExactCase(name, 2, alpha, BallDomain(np.zeros(2), 1.0), f,
+                         _inverse_cubic, _inverse_cubic)
     if name == "lshape_gaussian":
         # u(x) = exp(-|x|^2) manufactured on the L-shaped domain
         c = 2.0**alpha * math.gamma(1.0 + alpha / 2.0)
@@ -306,21 +308,16 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         def f(x, c=c, alpha=alpha):
             return c * sc.hyp1f1((2.0 + alpha) / 2.0, 1.0, -_r2(x))
 
-        def u(x):
-            return np.exp(-_r2(x))
-
-        return ExactCase(name, 2, alpha, LShapeDomain(), f, u, u)
+        return ExactCase(name, 2, alpha, LShapeDomain(), f, _gaussian, _gaussian)
     if name == "stripe_oscillatory":
         # qualitative: mixed-frequency source on [-5,5]x[-0.5,0.5], g = 0;
         # the fractional powers of signed bases use sign(b)*|b|^p
-        c1 = np.array([np.pi / 3.0, -np.pi / 4.0])
-        c2 = np.array([-np.pi / 2.0, 2.0 * np.pi / 3.0])
         amp = 2.0**alpha * math.gamma(1.0 + alpha / 2.0)
 
-        def f(x, amp=amp, alpha=alpha, c1=c1, c2=c2):
+        def f(x, amp=amp, alpha=alpha):
             x = np.atleast_2d(np.asarray(x, dtype=float))
-            osc = _signed_power(np.cos(_dot(x, c2)), alpha / 3.0) + _signed_power(
-                np.sin(_dot(x, c1)), alpha / 2.0
+            osc = _signed_power(np.cos(_dot(x, _C2)), alpha / 3.0) + _signed_power(
+                np.sin(_dot(x, _C1)), alpha / 2.0
             )
             return amp * osc * np.cos(-_r2(x))
 
@@ -329,14 +326,11 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         )
     if name == "hexagon_oscillatory":
         # qualitative: regular hexagon inscribed in [-1,1]^2, g = 0
-        c1 = np.array([np.pi / 3.0, -np.pi / 4.0])
-        c2 = np.array([-np.pi / 2.0, 2.0 * np.pi / 3.0])
-
-        def f(x, alpha=alpha, c1=c1, c2=c2):
+        def f(x, alpha=alpha):
             x = np.atleast_2d(np.asarray(x, dtype=float))
             return (
-                np.sin(_dot(x, c1)) ** 2
-                + np.cos(_dot(x, c2)) ** 2
+                np.sin(_dot(x, _C1)) ** 2
+                + np.cos(_dot(x, _C2)) ** 2
                 - (alpha * x[:, 0] * x[:, 1]) ** 3
             )
 

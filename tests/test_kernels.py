@@ -131,6 +131,17 @@ def test_poisson_kernel_domain_errors():
         poisson_kernel(ball, np.array([0.5, 0.0]), np.array([0.9, 0.0]), k)
 
 
+def test_kernels_refuse_points_of_another_dimension():
+    k = make_constants(2, 1.0)
+    ball = BallDomain(np.zeros(2), 1.0)
+    inner, outer = np.array([0.2, 0.1]), np.array([2.0, 0.0])
+    inner3, outer3 = np.array([0.1, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
+    for fn, x, y in ((poisson_kernel, inner3, outer), (poisson_kernel, inner, outer3),
+                     (green_function, inner3, inner), (green_function, inner, inner3)):
+        with pytest.raises(ValueError, match=r"expected points in R\^2"):
+            fn(ball, x, y, k)
+
+
 # ---------------------------------------------------------------------------
 # Green function
 
