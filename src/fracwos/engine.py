@@ -54,7 +54,7 @@ import scipy.special as sc
 
 from . import sampling
 from .geometry import Domain
-from .kernels import KernelConstants, _check_alpha
+from .kernels import KernelConstants, _check_alpha, _check_real
 
 __all__ = [
     "ConstantField",
@@ -139,8 +139,11 @@ class WalkConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        _check_real(self.epsilon, "epsilon")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.epsilon == np.inf:
+            raise ValueError("epsilon must be finite")
         for name in ("num_paths", "seed", "max_steps"):
             _check_integer(getattr(self, name), name)
         if self.num_paths < 1:
@@ -451,14 +454,15 @@ def step_bound(n: int, alpha: float, r: float, epsilon: float):
     1 - p_star enters the bound as I_{eps^2/r^2} itself, never by
     subtraction from 1.  bound is an upper bound on the expected number of
     steps; it is loose (the underlying comparison walk uses smaller balls
-    than the solver)."""
-    if not 0 < epsilon < r:
+    than the solver).  Where the tail's square underflows to 0, the bound
+    is inf."""
+    if not 0 < epsilon < r < np.inf:
         raise ValueError("need 0 < epsilon < r")
     alpha = _check_alpha(alpha)
     a, b = alpha / 2.0, 1.0 - alpha / 2.0
     tail = float(sc.betainc(a, b, (epsilon / r) ** 2))
     q_star = float(sc.betainc(a, b, ((r - epsilon) / r) ** 2))
-    return 1.0 - tail, q_star, 1.0 + q_star / tail**2
+    return 1.0 - tail, q_star, (1.0 + q_star / tail**2 if tail**2 > 0.0 else np.inf)
 
 
 def error_metric(estimates, exact):

@@ -59,7 +59,16 @@ ALPHA_MIN = 0.05
 ALPHA_MAX = 1.95
 
 
+def _check_real(value, name):
+    """ValueError naming name unless value is a Python or numpy real, not a bool;
+    a float passes before any numpy type is read, so a cold first call is cheap."""
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer, np.floating))):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_alpha(alpha: float) -> float:
+    _check_real(alpha, "alpha")
     alpha = float(alpha)
     if not ALPHA_MIN <= alpha <= ALPHA_MAX:
         raise ValueError(

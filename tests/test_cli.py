@@ -66,6 +66,14 @@ def test_constants_rejects_bad_parameters(capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_constants_step_bound_underflow(capsys):
+    # (eps/r)^2 underflows to 0: the bound is inf, not a division error
+    assert cli.main(["constants", "--n", "2", "--alpha", "1.0", "--epsilon", "1e-200"]) == 0
+    assert "step_bound(r=1, epsilon=1e-200) = inf" in capsys.readouterr().out
+    assert cli.main(["constants", "--n", "2", "--alpha", "1.0", "--radius", "inf"]) == 2
+    assert "config error: need 0 < epsilon < r" in capsys.readouterr().err
+
+
 def test_constants_takes_the_kernel_alpha_range(capsys):
     for alpha in ("0.01", "1.96"):
         assert cli.main(["constants", "--n", "2", "--alpha", alpha]) == 2

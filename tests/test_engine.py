@@ -649,6 +649,17 @@ def test_step_bound_validation():
             step_bound(2, alpha, 1.0, 1e-3)
 
 
+def test_step_bound_underflow_and_nonfinite():
+    # (eps/r)^2 underflows to 0 in the first two, the tail's square in the
+    # third, and the bound overflows in the fourth: each bound is inf
+    for args in ((2, 1.0, 1.0, 1e-200), (2, 1.0, 1e300, 1.0), (3, 1.95, 1.0, 1e-155),
+                 (2, 1.0, 1.0, 1e-160)):
+        assert step_bound(*args) == (1.0, 1.0, math.inf)
+    for r, eps in ((math.inf, 1.0), (math.inf, math.inf), (1.0, math.nan), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="need 0 < epsilon < r"):
+            step_bound(2, 1.0, r, eps)
+
+
 # ---------------------------------------------------------------------------
 # error metric
 
@@ -687,6 +698,13 @@ def test_problem_spec_validation():
         ProblemSpec(n=2, alpha=0.01, f=None, g=g, domain=dom)
     with pytest.raises(ValueError):
         ProblemSpec(n=2, alpha=1.0, f=None, g=None, domain=dom)
+    # alpha is a real number: no string, no bool
+    for bad in ("1.0", True, None, [1.0]):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            ProblemSpec(n=2, alpha=bad, f=None, g=g, domain=dom)
+    # Python and numpy reals are reals
+    for good in (1, np.float64(1.5), np.float32(0.5), np.int64(1)):
+        assert ProblemSpec(n=2, alpha=good, f=None, g=g, domain=dom).alpha == good
 
 
 def test_walk_config_validation():
@@ -711,6 +729,16 @@ def test_walk_config_validation():
     cfg = WalkConfig(epsilon=1e-6, num_paths=np.int64(10), seed=np.uint64(2**64 - 1),
                      max_steps=np.int32(5))
     assert cfg.num_paths == 10 and cfg.seed == 2**64 - 1 and cfg.max_steps == 5
+    # epsilon is a finite positive real: no bool, no string
+    for bad in (True, "1e-6", None):
+        with pytest.raises(ValueError, match="epsilon must be a real number"):
+            WalkConfig(**{**ok, "epsilon": bad})
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        WalkConfig(**{**ok, "epsilon": math.inf})
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        WalkConfig(**{**ok, "epsilon": math.nan})
+    for good in (1, np.float64(1e-3), np.float32(0.5)):
+        assert WalkConfig(**{**ok, "epsilon": good}).epsilon == good
 
 
 def test_start_point_validation():
