@@ -5,8 +5,17 @@
 
 Run from the root of a source checkout; the package is imported from
 ``src/``.  A change that keeps every result bit prints the same lines, so
-an empty ``diff`` of the output at two commits is the evidence.  It prints
+an empty ``diff`` of the output at two commits is the evidence.  The
+recorded output is ``tests/data/bits_digest.txt``, which
+``tests/test_bits_digest.py`` compares against in tier-1; a change that
+moves bits re-records it with
 
+    python3 tools/bits_digest.py > tests/data/bits_digest.txt
+
+and declares the move.  It prints
+
+* a header line, ``# numpy <version> scipy <version>``: the results'
+  last bits depend on both;
 * for every case of ``oracle.CASE_NAMES``, alpha in ALPHAS and epsilon in
   EPSILONS, on POINTS ``random_interior`` points (seed POINT_SEED, margin
   MARGIN): ``float.hex`` of mean, variance, stderr and mean_steps of each
@@ -58,6 +67,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -380,6 +390,7 @@ def kernels():
 
 
 def main():
+    print(f"# numpy {np.__version__} scipy {scipy.__version__}")
     warnings.simplefilter("ignore")
     estimates()
     step_cap()
