@@ -38,7 +38,7 @@ own parameter names.  Unknown keys anywhere in the config are rejected.
 
 Each command runs in two phases.  The build phase is one function for
 every walking command, _build: it reads the case, the walk and the points,
-and constructs the case, its ProblemSpec and the kernel constants at every
+and constructs the case (a ProblemSpec) and the kernel constants at every
 alpha.  The library's own checks reject invalid values there.  The command
 then adds its own checks (the start points, the ladder, a grid for field)
 and makes the output directory last, so a config error leaves nothing
@@ -195,7 +195,7 @@ def _parse_case(spec):
         n = _as_int(spec["n"], "case.n")
         f, g = spec.get("f", "none"), spec["g"]
         return _as_float(spec["alpha"], "case.alpha"), lambda a: ExactCase(
-            "inline", n, a, domain, _builtin_field(f, n, a), _builtin_field(g, n, a), None)
+            n, a, _builtin_field(f, n, a), _builtin_field(g, n, a), domain, "inline", None)
     raise ValueError("case must be a name or an object")
 
 
@@ -239,7 +239,7 @@ def _points(spec, domain, epsilon: float) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _parse_walk(spec, seed_override=None, need_paths=True):
+def _parse_walk(spec, need_paths=True):
     spec = spec if spec is not None else {}
     _require_keys(spec, "walk", [], ["epsilon", "num_paths", "seed", "max_steps"])
     if need_paths and "num_paths" not in spec:
@@ -247,8 +247,7 @@ def _parse_walk(spec, seed_override=None, need_paths=True):
     return WalkConfig(
         epsilon=_as_float(spec.get("epsilon", 1e-6), "walk.epsilon"),
         num_paths=_as_int(spec.get("num_paths", 1), "walk.num_paths"),
-        seed=(seed_override if seed_override is not None
-              else _as_int(spec.get("seed", 0), "walk.seed")),
+        seed=_as_int(spec.get("seed", 0), "walk.seed"),
         max_steps=_as_int(spec.get("max_steps", 1_000_000), "walk.max_steps"),
     )
 
@@ -287,19 +286,18 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _build(raw, seed_override, need_paths=True):
+def _build(raw, need_paths=True):
     """The build phase every walking command shares: (t0, built, walk, pts),
-    with built the (case, problem, constants) at each alpha of the run."""
+    with built the (case, constants) at each alpha of the run."""
     t0 = time.perf_counter()
     alpha, make = _parse_case(raw["case"])
     alphas = raw.get("alphas", [alpha])
     if not isinstance(alphas, list) or not alphas:
         raise ValueError("alphas must be a nonempty list")
     alphas = [_as_float(a, "alphas") for a in alphas]
-    walk = _parse_walk(raw.get("walk"), seed_override, need_paths)
+    walk = _parse_walk(raw.get("walk"), need_paths)
     # ProblemSpec and make_constants check the dimension, the alpha range and g
-    built = [(case, case.problem(), make_constants(case.n, case.alpha))
-             for case in map(make, alphas)]
+    built = [(case, make_constants(case.n, case.alpha)) for case in map(make, alphas)]
     return t0, built, walk, _points(raw["points"], built[0][0].domain, walk.epsilon)
 
 
@@ -332,13 +330,13 @@ def _coords(n):
     return [f"x{d+1}" for d in range(n)]
 
 
-def cmd_solve(raw, seed_override=None):
-    t0, [(case, problem, constants)], walk, pts = _build(raw, seed_override)
-    check_starts(problem, walk, pts)
+def cmd_solve(raw):
+    t0, [(case, constants)], walk, pts = _build(raw)
+    check_starts(case, walk, pts)
     prefix = _output_prefix(raw)
 
     def run():
-        ests = estimate_field(problem, walk, constants, pts)
+        ests = estimate_field(case, walk, constants, pts)
         extras = {"n_points": len(pts)}
         if case.u_exact is not None:
             extras["paper_error"], extras["rmse"] = error_metric(
@@ -352,8 +350,8 @@ def cmd_solve(raw, seed_override=None):
     return run
 
 
-def cmd_convergence(raw, seed_override=None):
-    t0, built, walk0, pts = _build(raw, seed_override, need_paths=False)
+def cmd_convergence(raw):
+    t0, built, walk0, pts = _build(raw, need_paths=False)
     ladder = raw["path_ladder"]
     if not isinstance(ladder, list) or not ladder:
         raise ValueError("path_ladder must be a nonempty list of path counts")
@@ -361,21 +359,21 @@ def cmd_convergence(raw, seed_override=None):
     walks = [dataclasses.replace(walk0, num_paths=N) for N in ladder]
     if built[0][0].u_exact is None:
         raise ValueError("convergence needs a case with an exact solution")
-    check_starts(built[0][1], walk0, pts)
+    check_starts(built[0][0], walk0, pts)
     prefix = _output_prefix(raw)
 
     def run():
         errors = []  # per alpha, the (paper_error, rmse) of each rung
         every = []
-        for case, problem, constants in built:
+        for case, constants in built:
             exact = case.u_exact(pts)
             errors.append([])
             for walk in walks:
-                ests = estimate_field(problem, walk, constants, pts)
+                ests = estimate_field(case, walk, constants, pts)
                 errors[-1].append(error_metric([e.mean for e in ests], exact))
                 every += ests
 
-        alphas = [f"{case.alpha:g}" for case, _, _ in built]
+        alphas = [f"{case.alpha:g}" for case, _ in built]
         header = ["N"] + [f"{m}_a{a}" for a in alphas for m in ("paper_error", "rmse")]
         rows = [[str(N), *(v for errs in errors for v in errs[i])]
                 for i, N in enumerate(ladder)]
@@ -396,9 +394,9 @@ def cmd_convergence(raw, seed_override=None):
     return run
 
 
-def cmd_steps(raw, seed_override=None):
-    t0, built, walk, pts = _build(raw, seed_override)
-    check_starts(built[0][1], walk, pts)
+def cmd_steps(raw):
+    t0, built, walk, pts = _build(raw)
+    check_starts(built[0][0], walk, pts)
     prefix = _output_prefix(raw)
 
     def run():
@@ -412,8 +410,8 @@ def cmd_steps(raw, seed_override=None):
         # reported, not enforced: walks started nearer the boundary should
         # take more steps, up to a small relative slack for Monte Carlo noise
         monotone = True
-        for case, problem, constants in built:
-            ests = estimate_field(problem, walk, constants, pts)
+        for case, constants in built:
+            ests = estimate_field(case, walk, constants, pts)
             every += ests
             seq = np.array([e.mean_steps for e in ests])[order]
             if seq.min() < 1.0:
@@ -427,8 +425,8 @@ def cmd_steps(raw, seed_override=None):
     return run
 
 
-def cmd_field(raw, seed_override=None):
-    t0, [(case, problem, constants)], walk, pts = _build(raw, seed_override)
+def cmd_field(raw):
+    t0, [(case, constants)], walk, pts = _build(raw)
     if raw["points"]["type"] != "grid":
         raise ValueError("field requires a grid points spec")
     prefix = _output_prefix(raw)
@@ -448,7 +446,7 @@ def cmd_field(raw, seed_override=None):
             values[shell] = case.g(dom.project_boundary(pts[shell]))
         ests = []
         if walked.any():
-            ests = estimate_field(problem, walk, constants, pts[walked])
+            ests = estimate_field(case, walk, constants, pts[walked])
             values[walked] = [e.mean for e in ests]
         return _write(prefix, "_field.csv", _coords(case.n) + ["value"],
                       [[*p, v] for p, v in zip(pts, values)], "field", raw, t0, ests,
@@ -517,7 +515,10 @@ def main(argv=None) -> int:
             run = cmd_constants(args)
         else:
             raw = _load_config(args.config, args.command)
-            run = _BUILD[args.command](raw, seed_override=args.seed)
+            # --seed goes into the config itself, which the summary echoes
+            if args.seed is not None and isinstance(raw.get("walk"), (dict, type(None))):
+                raw["walk"] = {**(raw.get("walk") or {}), "seed": args.seed}
+            run = _BUILD[args.command](raw)
     except Exception as exc:  # noqa: BLE001 - anything before the first walk
         print(f"config error: {exc}", file=sys.stderr)
         return 2

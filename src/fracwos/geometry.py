@@ -50,12 +50,11 @@ class Domain:
         raise NotImplementedError
 
     def _coerce(self, x):
+        """x as (m, n) rows, and whether it was one point; other shapes are refused."""
         pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.n:
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n:
             raise ValueError(f"expected points in R^{self.n}, got shape {pts.shape}")
-        return pts, single
+        return np.atleast_2d(pts), pts.ndim == 1
 
     def contains(self, x):
         """Open-set membership; boundary points report False."""

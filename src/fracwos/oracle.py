@@ -32,7 +32,6 @@ from .geometry import (
     AnnulusDomain,
     BallDomain,
     BoxDomain,
-    Domain,
     HexagonDomain,
     LShapeDomain,
     _dot,
@@ -180,7 +179,10 @@ def ball_solution_quadrature(
         raise TypeError("ball_solution_quadrature needs a BallDomain problem")
     if problem.n not in _MAX_DOUBLINGS:
         raise ValueError("tensor quadrature is implemented for n in {2, 3}")
-    x = np.asarray(x, dtype=float)
+    pts, single = dom._coerce(x)
+    if not single:
+        raise ValueError(f"ball_solution_quadrature needs one point of shape ({dom.n},)")
+    x = pts[0]
     if not dom.contains(x):
         raise ValueError("evaluation point must lie strictly inside the ball")
 
@@ -217,19 +219,15 @@ def ball_solution_quadrature(
 
 
 @dataclass(frozen=True)
-class ExactCase:
-    """A named benchmark problem, with its exact solution when one exists."""
+class ExactCase(ProblemSpec):
+    """A named benchmark problem, itself a ProblemSpec checked when it is
+    built, with its exact solution when one exists."""
 
     name: str
-    n: int
-    alpha: float
-    domain: Domain
-    f: Optional[Callable]
-    g: Callable
     u_exact: Optional[Callable]
 
     def problem(self) -> ProblemSpec:
-        return ProblemSpec(self.n, self.alpha, self.f, self.g, self.domain)
+        return self
 
 
 def _r2(x):
@@ -288,8 +286,8 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         # the solution the cited constant source belongs to)
         n = _BUMP_DIMS[name]
         return ExactCase(
-            name, n, alpha, BallDomain(np.zeros(n), 1.0),
-            ConstantField(constant_source(n, alpha)), _ZERO, _bump_power(alpha),
+            n, alpha, ConstantField(constant_source(n, alpha)), _ZERO,
+            BallDomain(np.zeros(n), 1.0), name, _bump_power(alpha),
         )
     if name == "disk_inverse_cubic":
         # u(x) = (1 + |x|^2)^(-3/2) globally; the source on the disk is
@@ -299,8 +297,8 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         def f(x, c=c, alpha=alpha):
             return c * sc.hyp2f1((2.0 + alpha) / 2.0, (3.0 + alpha) / 2.0, 1.0, -_r2(x))
 
-        return ExactCase(name, 2, alpha, BallDomain(np.zeros(2), 1.0), f,
-                         _inverse_cubic, _inverse_cubic)
+        return ExactCase(2, alpha, f, _inverse_cubic, BallDomain(np.zeros(2), 1.0), name,
+                         _inverse_cubic)
     if name == "lshape_gaussian":
         # u(x) = exp(-|x|^2) manufactured on the L-shaped domain
         c = 2.0**alpha * math.gamma(1.0 + alpha / 2.0)
@@ -308,7 +306,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
         def f(x, c=c, alpha=alpha):
             return c * sc.hyp1f1((2.0 + alpha) / 2.0, 1.0, -_r2(x))
 
-        return ExactCase(name, 2, alpha, LShapeDomain(), f, _gaussian, _gaussian)
+        return ExactCase(2, alpha, f, _gaussian, LShapeDomain(), name, _gaussian)
     if name == "stripe_oscillatory":
         # qualitative: mixed-frequency source on [-5,5]x[-0.5,0.5], g = 0;
         # the fractional powers of signed bases use sign(b)*|b|^p
@@ -321,9 +319,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
             )
             return amp * osc * np.cos(-_r2(x))
 
-        return ExactCase(
-            name, 2, alpha, BoxDomain([-5.0, -0.5], [5.0, 0.5]), f, _ZERO, None
-        )
+        return ExactCase(2, alpha, f, _ZERO, BoxDomain([-5.0, -0.5], [5.0, 0.5]), name, None)
     if name == "hexagon_oscillatory":
         # qualitative: regular hexagon inscribed in [-1,1]^2, g = 0
         def f(x, alpha=alpha):
@@ -334,7 +330,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
                 - (alpha * x[:, 0] * x[:, 1]) ** 3
             )
 
-        return ExactCase(name, 2, alpha, HexagonDomain(1.0), f, _ZERO, None)
+        return ExactCase(2, alpha, f, _ZERO, HexagonDomain(1.0), name, None)
     if name == "annulus_oscillatory":
         # qualitative: annulus 0.3 < |x|^2 < 1, g = 0
         def f(x):
@@ -342,9 +338,7 @@ def make_case(name: str, alpha: float = 1.0) -> ExactCase:
             x1, x2 = x[:, 0], x[:, 1]
             return np.cos(x2 * x2 - 2.0 * x1 * x2) - np.sin(x1 * x1 + 2.0 * x1 * x2)
 
-        return ExactCase(
-            name, 2, alpha, AnnulusDomain(math.sqrt(0.3), 1.0), f, _ZERO, None
-        )
+        return ExactCase(2, alpha, f, _ZERO, AnnulusDomain(math.sqrt(0.3), 1.0), name, None)
     raise KeyError(f"unknown case name: {name}")
 
 

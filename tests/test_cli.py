@@ -8,6 +8,7 @@ overrides must equal the corresponding config edit.
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -181,6 +182,40 @@ def test_solve_seed_override_matches_config_edit(tmp_path):
     plain = _solve_cfg(tmp_path, name="c.json", out="c/run")
     assert cli.main(["solve", "--config", plain]) == 0
     assert (tmp_path / "c" / "run_estimates.csv").read_bytes() != bytes_a
+
+
+@pytest.mark.parametrize("command, walk", [
+    ("solve", {"epsilon": 1e-6, "num_paths": 500, "seed": 0}),
+    ("solve", {"num_paths": 500}),
+    ("convergence", None),
+    ("convergence", "absent"),
+], ids=["solve_seed", "solve_no_seed", "convergence_null", "convergence_absent"])
+def test_summary_echoes_the_seed_override(tmp_path, command, walk):
+    # --seed 5 walks, writes and echoes what the config edited to seed 5 does
+    body = {"case": "disk_constant_source", "points": {"type": "list", "values": [[0.3, 0.0]]}}
+    if command == "convergence":
+        body["path_ladder"] = [100, 300]
+    edited = {} if walk in (None, "absent") else walk
+    if walk != "absent":
+        body["walk"] = walk
+    by_flag = _cfg(tmp_path, "a.json", **body, output=str(tmp_path / "a" / "run"))
+    by_edit = _cfg(tmp_path, "b.json", **{**body, "walk": {**edited, "seed": 5}},
+                   output=str(tmp_path / "b" / "run"))
+    assert cli.main([command, "--config", by_flag, "--seed", "5"]) == 0
+    assert cli.main([command, "--config", by_edit]) == 0
+    runs = []
+    for side in ("a", "b"):
+        summary = json.loads((tmp_path / side / "run_summary.json").read_text())
+        assert summary["config"].pop("output") == str(tmp_path / side / "run")
+        assert summary["config"]["walk"]["seed"] == 5
+        runs.append((summary["config"], pathlib.Path(summary["outputs"][0]).read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_seed_override_keeps_the_walk_object_check(tmp_path, capsys):
+    cfg = _solve_cfg(tmp_path, walk=[1])
+    assert cli.main(["solve", "--config", cfg, "--seed", "5"]) == 2
+    assert capsys.readouterr().err == "config error: walk must be an object\n"
 
 
 def test_solve_inline_case_center_identity(tmp_path):

@@ -151,6 +151,15 @@ def test_exterior_distance_raises():
             dom.dist_boundary(np.asarray(outside, dtype=float))
 
 
+@pytest.mark.parametrize("dom", _all_domains(), ids=lambda d: type(d).__name__ + str(d.n))
+def test_queries_refuse_arrays_of_three_or_more_axes(dom):
+    # a (3, 2, n) stack of one interior point is neither a point nor a batch
+    x = np.broadcast_to(dom.random_interior(1, seed=5)[0], (3, 2, dom.n))
+    for query in (dom.contains, dom.dist_boundary, dom.project_boundary):
+        with pytest.raises(ValueError, match=rf"expected points in R\^{dom.n}"):
+            query(x)
+
+
 def test_random_interior_margin():
     dom = LShapeDomain()
     pts = dom.random_interior(300, seed=3, margin=0.05)

@@ -142,6 +142,16 @@ def test_kernels_refuse_points_of_another_dimension():
             fn(ball, x, y, k)
 
 
+def test_kernels_refuse_arrays_of_three_or_more_axes():
+    k = make_constants(2, 1.0)
+    ball = BallDomain(np.zeros(2), 1.0)
+    inner, outer = np.full((3, 2, 2), 0.1), np.full((3, 2, 2), 2.0)
+    for fn, x, y in ((poisson_kernel, inner, outer), (poisson_kernel, inner[0, 0], outer),
+                     (green_function, inner, inner[0, 0])):
+        with pytest.raises(ValueError, match=r"expected points in R\^2"):
+            fn(ball, x, y, k)
+
+
 # ---------------------------------------------------------------------------
 # Green function
 

@@ -74,6 +74,24 @@ def test_unknown_case_name():
         make_case("no_such_case")
 
 
+def test_case_is_its_own_problem_spec():
+    case = make_case("disk_inverse_cubic", 1.5)
+    assert isinstance(case, ProblemSpec)
+    assert case.problem() is case
+    cfg, k, x0 = WalkConfig(1e-4, 2000, seed=3), make_constants(2, 1.5), np.array([0.3, -0.2])
+    plain = ProblemSpec(case.n, case.alpha, case.f, case.g, case.domain)
+    assert estimate_point(case, cfg, k, x0) == estimate_point(plain, cfg, k, x0)
+    assert estimate_point(case, cfg, k, x0) == estimate_point(case.problem(), cfg, k, x0)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 2.5])
+def test_cases_refuse_alpha_outside_the_kernel_range_when_built(alpha):
+    with pytest.raises(ValueError, match=rf"alpha={alpha} outside the supported range"):
+        make_case("disk_inverse_cubic", alpha)
+    with pytest.raises(ValueError, match=rf"alpha={alpha} outside the supported range"):
+        exact_registry(alpha)
+
+
 def test_fields_and_registry_paths_do_not_depend_on_the_batch():
     # a point's f, g and u_exact bits must not depend on the rows it is
     # evaluated with, or run_path (one row) would not replay a path walked
@@ -177,6 +195,18 @@ def test_quadrature_reproduces_exact_disk_solutions(name, alpha):
     for x in pts:
         got = ball_solution_quadrature(prob, x)
         assert abs(got - case.u_exact(_batch(x))[0]) <= 1e-6
+
+
+def test_quadrature_takes_one_point():
+    case = make_case("disk_constant_source", 1.0)
+    want = ball_solution_quadrature(case, np.array([0.3, 0.1]))
+    assert ball_solution_quadrature(case, [0.3, 0.1]) == want
+    assert want == pytest.approx(case.u_exact(np.array([[0.3, 0.1]]))[0], abs=1e-6)
+    for batch in (np.array([[0.3, 0.1]]), [[0.3, 0.1], [0.0, 0.2]]):
+        with pytest.raises(ValueError, match=r"needs one point of shape \(2,\)"):
+            ball_solution_quadrature(case, batch)
+    with pytest.raises(ValueError, match=r"expected points in R\^2"):
+        ball_solution_quadrature(case, np.full((1, 1, 2), 0.1))
 
 
 def test_quadrature_raises_rather_than_returning_unconverged():
