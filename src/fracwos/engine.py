@@ -15,19 +15,21 @@ steps is dropped, with no g, and left out of the estimate (n_dropped).
 
 Reproducibility contract: path i at start point x0 draws from the addressed
 stream (seed, stream_id = i, substream = hash(x0)) from counter 0.  Each
-step makes one StreamBatch.uniforms call and reads a fixed layout of its
-words; with d = 2 * ceil(n/2), the words of n Box-Muller normals:
+step makes one StreamBatch.uniforms call and reads a fixed layout of the
+uniforms it returns, the step's words; with d = 2 * ceil(n/2), the words
+of n Box-Muller normals:
 
     ux, ut, uv                    interior radius, 3 words        (f given)
     interior direction            d words                         (f given)
     exit direction                d words
     exit radius                   1 word
 
-so a step consumes ceil((2d + 4) / 4) blocks with a source f and
-ceil((d + 1) / 4) without, and a path's counter is never rewound or
-skipped.  A constant source (ConstantField) reads no Y: its term is
-r_k^alpha * zeta_unit * value and its step draws the words of the f = None
-walk, so it walks the f = None trajectory.
+A block gives 8 uniforms, so a step consumes ceil((2d + 4) / 8) blocks
+with a source f and ceil((d + 1) / 8) without: one block on the disk and
+the L-shape either way, and 3 or 2 on the 10-d ball.  A path's counter is
+never rewound or skipped.  A constant source (ConstantField) reads no Y:
+its term is r_k^alpha * zeta_unit * value and its step draws the words of
+the f = None walk, so it walks the f = None trajectory.
 
 The walk is one wavefront of rows (_walk).  Each row holds one (point,
 path) pair, with the pair's own stream id and substream, and the pairs are

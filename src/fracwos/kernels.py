@@ -32,11 +32,11 @@ The kernel functions take the ball as a geometry.BallDomain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sc
-from scipy.special import gammaln
 
 from .geometry import BallDomain
 
@@ -99,28 +99,16 @@ def make_constants(n: int, alpha: float) -> KernelConstants:
     if n < 2:
         raise ValueError("kernel constants require dimension n >= 2")
     alpha = _check_alpha(alpha)
-    half_n = 0.5 * n
-    c_tilde = float(
-        np.exp(gammaln(half_n) - (half_n + 1.0) * np.log(np.pi))
-        * np.sin(np.pi * alpha / 2.0)
-    )
-    c_hat = float(
-        np.exp(
-            gammaln(half_n)
-            - alpha * np.log(2.0)
-            - half_n * np.log(np.pi)
-            - 2.0 * gammaln(alpha / 2.0)
-        )
-    )
-    beta_full = float(sc.beta((n - alpha) / 2.0, alpha / 2.0))
-    zeta_unit = float(
-        np.exp(
-            gammaln(half_n)
-            - alpha * np.log(2.0)
-            - gammaln(1.0 + alpha / 2.0)
-            - gammaln(half_n + alpha / 2.0)
-        )
-    )
+    # scalars on math, not numpy or scipy: a cold set-up pays for each
+    # first call into those, and this runs once per (n, alpha)
+    half_n, a = 0.5 * n, 0.5 * alpha
+    log_pi, log_gamma_half_n = math.log(math.pi), math.lgamma(half_n)
+    c_tilde = math.exp(log_gamma_half_n - (half_n + 1.0) * log_pi) * math.sin(math.pi * a)
+    c_hat = math.exp(log_gamma_half_n - alpha * math.log(2.0) - half_n * log_pi
+                     - 2.0 * math.lgamma(a))
+    beta_full = math.exp(math.lgamma(half_n - a) + math.lgamma(a) - log_gamma_half_n)
+    zeta_unit = math.exp(log_gamma_half_n - alpha * math.log(2.0) - math.lgamma(1.0 + a)
+                         - math.lgamma(half_n + a))
     return KernelConstants(
         n=n,
         alpha=alpha,

@@ -36,7 +36,7 @@ from .geometry import (
     LShapeDomain,
     _dot,
 )
-from .kernels import make_constants
+from .kernels import _check_alpha, make_constants
 
 __all__ = ["CASE_NAMES", "ExactCase", "ball_solution_quadrature", "constant_source",
            "exact_registry", "make_case"]
@@ -269,17 +269,13 @@ def _bump_power(alpha: float):
 
 def constant_source(n: int, alpha: float) -> float:
     """The constant f whose solution on the unit ball with g = 0 is
-    (1 - |x|^2)^(alpha/2); the reciprocal of KernelConstants.zeta_unit."""
-    return (
-        2.0**alpha
-        * math.gamma(1.0 + alpha / 2.0)
-        * math.gamma((n + alpha) / 2.0)
-        / math.gamma(n / 2.0)
-    )
+    (1 - |x|^2)^(alpha/2): 1 / KernelConstants.zeta_unit."""
+    return 1.0 / make_constants(n, alpha).zeta_unit
 
 
 def make_case(name: str, alpha: float = 1.0) -> ExactCase:
     """Build one benchmark case at the given exponent."""
+    _check_alpha(alpha)  # before the case's own constants read it
     if name in _BUMP_DIMS:
         # radially symmetric bump solution on the unit ball; the source is
         # the constant constant_source(n, alpha) and g vanishes (at n = 10,

@@ -14,14 +14,20 @@ on (2, T) lanes A = (c0, c2), B = (c1, c3) and key (k0, k1), which
 StreamBatch.uniforms fills from its flat block list, _TILE_BLOCKS at a time.
 
 * ``StreamBatch`` - one addressed stream per path, each with its own block
-  counter; ``uniforms`` draws whole blocks for a subset of the paths.
+  counter; ``uniforms`` draws whole blocks for a subset of the paths.  Each
+  64-bit word gives two uniforms, its low 32-bit half first, so a block
+  gives 8, each (h + 1/2) 2^-32 for a half h: every uniform lies in
+  [2^-33, 1 - 2^-33] and is exact in double.
 * ``box_muller`` - standard normals from pairs of uniforms; the walk
-  normalizes n of them to a uniform direction on the sphere.
+  normalizes n of them to a uniform direction on the sphere.  The radius
+  sqrt(-2 log u) is at most sqrt(66 log 2), about 6.8, and never 0.
 * ``exit_radius_from_uniform`` - the heavy-tailed jump distance out of a
   ball, gamma = r * x^(-1/2) with x = I^(-1)(u; alpha/2, 1-alpha/2).  (The
   jump CDF is F(gamma) = 1 - I_{r^2/gamma^2}(alpha/2, 1-alpha/2); inverting
   the complement with u uniform is equivalent because 1-u is also uniform.
-  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)  At alpha = 1
+  The tail is P(gamma > G) ~ G^(-alpha), the stable index.)  The drawn
+  tail stops at the smallest uniform, 2^-33: the longest jump is the
+  quantile at u = 2^-33, not at 2^-54 as with 53-bit uniforms.  At alpha = 1
   x is the arcsine law's sin^2(pi u / 2).  At alpha != 1 it comes from a
   per-alpha table (Devroye 1986, ch. II), built on first use and cached:
   with a = alpha/2, b = 1 - a and u* = I_{1/2}(a, b), it holds x for
@@ -54,6 +60,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 
 import numpy as np
 import scipy.special as sc
@@ -76,7 +83,8 @@ _W1 = np.uint64(0xBB67AE8584CAA73B)
 # 0-d arrays, not numpy scalars: ufuncs take them with less overhead
 _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SH32 = np.array(32, dtype=np.uint64)
-_SH11 = np.array(11, dtype=np.uint64)
+# the (low, high) halves of a uint64 word in a view of it as two uint32
+_LOW_FIRST = slice(None) if sys.byteorder == "little" else slice(None, None, -1)
 
 # The two multiplied lanes (c0 * M0, c2 * M1) run as one (2, blocks) array;
 # _CONSTS stacks the (2, 1) columns M, its high and low halves, and W.
@@ -139,14 +147,13 @@ def _philox_rounds(a, b, key):
 
 
 def _store_unit_open(dst, words):
-    """Write uint64 words as float64 uniforms on the open interval (0, 1).
-
-    k = w >> 11 maps to (k + 1/2) 2^-53; the top k = 2^53 - 1 ties halfway
-    between 1 - 2^-53 and 1 and would round to 1, so it is held at 1 - 2^-53."""
-    np.right_shift(words, _SH11, out=words)
-    np.multiply(words, 0.5**53, out=dst)
-    dst += 0.5**54
-    np.minimum(dst, 1.0 - 0.5**53, out=dst)
+    """Write each uint64 word as two float64 uniforms on the open interval
+    (0, 1), its low 32-bit half first: h maps to (h + 1/2) 2^-32, which is
+    exact in double and lies in [2^-33, 1 - 2^-33].  words is contiguous
+    along its last axis, and dst has the shape words.shape + (2,)."""
+    halves = words.view(np.uint32).reshape(words.shape + (2,))
+    np.multiply(halves[..., _LOW_FIRST], 0.5**32, out=dst)
+    dst += 0.5**33
 
 
 class StreamBatch:
@@ -170,16 +177,20 @@ class StreamBatch:
     def uniforms(self, idx, m: int):
         """Draw m uniforms in (0,1) for each path in idx -> (len(idx), m):
         block j of row i has counter (position[i] + j, substreams[i], 0, 0)
-        and key (seed, stream_ids[i]).  The blocks run _TILE_BLOCKS at a
-        time; a block's words do not depend on the tiling."""
+        and key (seed, stream_ids[i]), and its words w0..w3 give the row's
+        uniforms 8j..8j+7, two per word (_store_unit_open).  The blocks run
+        _TILE_BLOCKS at a time; a block's words do not depend on the tiling."""
         idx = np.asarray(idx, dtype=np.intp)
-        nblocks = -(-m // 4)
+        nblocks = -(-m // 8)
         pos, sub, ids = self.position[idx], self.substreams[idx], self.stream_ids[idx]
         c0 = pos
         if nblocks != 1:
             c0 = (pos[:, None] + np.arange(nblocks, dtype=np.uint64)).ravel()
             sub, ids = np.repeat(sub, nblocks), np.repeat(ids, nblocks)
-        out = np.empty((c0.shape[0], 4))
+        # (block, word, half), the words w0..w3 of a block gathered from the
+        # lanes a = (w0, w2) and b = (w1, w3) so that the halves convert in
+        # one contiguous pass
+        out = np.empty((c0.shape[0], 4, 2))
         for lo in range(0, c0.shape[0], _TILE_BLOCKS):
             t = slice(lo, lo + _TILE_BLOCKS)
             a, b, key = np.empty((3, 2, c0[t].shape[0]), dtype=np.uint64)
@@ -187,10 +198,11 @@ class StreamBatch:
             b[0], b[1] = sub[t], 0
             key[0], key[1] = self.seed, ids[t]
             a, b = _philox_rounds(a, b, key)
-            _store_unit_open(out[t, 0::2].T, a)
-            _store_unit_open(out[t, 1::2].T, b)
+            words = np.empty((a.shape[1], 4), dtype=np.uint64)
+            words[:, 0::2], words[:, 1::2] = a.T, b.T
+            _store_unit_open(out[t], words)
         self.position[idx] = pos + np.uint64(nblocks)
-        return out.reshape(idx.shape[0], 4 * nblocks)[:, :m]
+        return out.reshape(idx.shape[0], 8 * nblocks)[:, :m]
 
 
 def box_muller(u, m: int):
@@ -250,8 +262,9 @@ def _exit_table(alpha: float):
     w = (v e B)^(1/e) times G(w), analytic in w, interpolated at the
     Chebyshev nodes of w in [0, w(u*)].  The table is checked against
     betaincinv between its nodes and on a log-spaced sweep of u and 1 - u
-    down to the generator's 2^-54 and 2^-53; RuntimeError if gamma is off by
-    more than _EXIT_TABLE_TOL relative anywhere."""
+    down to 2^-54 and 2^-53, past the generator's 2^-33 at either end;
+    RuntimeError if gamma is off by more than _EXIT_TABLE_TOL relative
+    anywhere."""
     a = alpha / 2.0
     b = 1.0 - a
     ustar = float(sc.betainc(a, b, 0.5))

@@ -481,6 +481,14 @@ def test_alpha_out_of_range_is_config_error(tmp_path):
     assert cli.main(["solve", "--config", cfg]) == 2
 
 
+def test_alpha_at_a_pole_of_a_case_constant_is_named(tmp_path, capsys):
+    # alpha = -2 is a pole of the Gamma in the bump cases' constant source
+    cfg = _solve_cfg(tmp_path, case={"name": "disk_constant_source", "alpha": -2})
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: alpha=-2.0 outside the supported range [0.05, 1.95]\n")
+
+
 def _inline_ball(alpha, center=(0.0, 0.0)):
     return {
         "domain": {"type": "ball", "center": list(center), "radius": 1.0},

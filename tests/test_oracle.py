@@ -92,6 +92,16 @@ def test_cases_refuse_alpha_outside_the_kernel_range_when_built(alpha):
         exact_registry(alpha)
 
 
+@pytest.mark.parametrize("name", _CASE_NAMES)
+def test_cases_check_alpha_before_using_it(name):
+    # a case's own constants read alpha; a pole of their Gamma or a string
+    # must be refused by the alpha checks, not by math or by an operator
+    with pytest.raises(ValueError, match=r"alpha=-2.0 outside the supported range"):
+        make_case(name, -2.0)
+    with pytest.raises(ValueError, match="alpha must be a real number, got '1'"):
+        make_case(name, "1")
+
+
 def test_fields_and_registry_paths_do_not_depend_on_the_batch():
     # a point's f, g and u_exact bits must not depend on the rows it is
     # evaluated with, or run_path (one row) would not replay a path walked
@@ -170,7 +180,8 @@ def test_constant_source_helper():
         * math.gamma((n + alpha) / 2.0)
         / math.gamma(n / 2.0)
     )
-    assert constant_source(n, alpha) == expect
+    assert constant_source(n, alpha) == 1.0 / make_constants(n, alpha).zeta_unit
+    assert constant_source(n, alpha) == pytest.approx(expect, rel=1e-14)
 
 
 def test_signed_power_of_negative_base():

@@ -108,7 +108,9 @@ def _numpy_words(c0, c1, k0, k1, nblocks):
 
 
 def _unit_open(words):
-    return (words >> np.uint64(11)) * 0.5**53 + 0.5**54
+    """Two uniforms per uint64 word, its low 32-bit half first: (h + 1/2) 2^-32."""
+    halves = np.stack((words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)), axis=-1)
+    return (halves.reshape(-1) + 0.5) * 0.5**32
 
 
 @pytest.mark.parametrize("rows, nblocks", [(3, _TILE_BLOCKS // 2 + 5), (2, _TILE_BLOCKS + 9)])
@@ -120,8 +122,8 @@ def test_philox_2d_counter_array_spanning_tiles(rows, nblocks):
     c1 = [0, 9, 2**40][:rows]
     batch = StreamBatch(0xABCDEF, k1, c1)
     batch.position = np.uint64(2**62) + batch.substreams
-    got = batch.uniforms(np.arange(rows), 4 * nblocks)
-    assert got.shape == (rows, 4 * nblocks)
+    got = batch.uniforms(np.arange(rows), 8 * nblocks)
+    assert got.shape == (rows, 8 * nblocks)
     for i in range(rows):
         ref = _numpy_words(2**62 + c1[i], c1[i], 0xABCDEF, k1[i], nblocks)
         assert np.array_equal(got[i], _unit_open(ref))
@@ -135,26 +137,26 @@ def test_uniforms_rows_not_a_multiple_of_the_tile(m):
     got = batch.uniforms(np.arange(rows), m)
     assert got.shape == (rows, m)
     for i in list(range(0, rows, 997)) + [rows - 1]:
-        ref = _unit_open(_numpy_words(0, 8, 123, 3 * i + 1, -(-m // 4)))
+        ref = _unit_open(_numpy_words(0, 8, 123, 3 * i + 1, -(-m // 8)))
         assert np.array_equal(got[i], ref[:m])
-    assert np.all(batch.position == -(-m // 4))
+    assert np.all(batch.position == -(-m // 8))
 
 
 def test_uniforms_mixed_per_row_positions():
     batch = StreamBatch(seed=5, stream_ids=[10, 11, 12, 13, 14], substreams=[0, 1, 2, 3, 4])
-    batch.uniforms(np.array([1, 3]), 9)  # 3 blocks
+    batch.uniforms(np.array([1, 3]), 17)  # 3 blocks
     batch.uniforms(np.array([3, 4]), 1)  # 1 block
-    batch.uniforms(np.array([2]), 40)  # 10 blocks
+    batch.uniforms(np.array([2]), 80)  # 10 blocks
     start = batch.position.copy()
     assert start.tolist() == [0, 3, 10, 4, 1]
-    got = batch.uniforms(np.arange(5), 7)
+    got = batch.uniforms(np.arange(5), 15)
     for i in range(5):
         ref = _unit_open(_numpy_words(start[i], i, 5, 10 + i, 2))
-        assert np.array_equal(got[i], ref[:7])
+        assert np.array_equal(got[i], ref[:15])
     assert np.array_equal(batch.position, start + 2)
 
 
-@pytest.mark.parametrize("m", [1, 3, 4])
+@pytest.mark.parametrize("m", [1, 3, 4, 8])
 def test_one_block_uniforms_on_a_row_subset_spanning_tiles(m):
     # a one-block request takes the gathered per-row words as they are; a
     # reversed subset of rows at mixed positions, over more than one tile
@@ -162,7 +164,7 @@ def test_one_block_uniforms_on_a_row_subset_spanning_tiles(m):
     total = 2 * rows + 1
     ids, subs = np.arange(total) * 7 + 2, np.arange(total) % 5
     batch = StreamBatch(seed=99, stream_ids=ids, substreams=subs)
-    batch.uniforms(np.arange(0, total, 3), 9)  # 3 blocks on every third row
+    batch.uniforms(np.arange(0, total, 3), 17)  # 3 blocks on every third row
     idx = np.arange(1, total, 2)[::-1]
     start = batch.position.copy()
     got = batch.uniforms(idx, m)
@@ -224,16 +226,24 @@ def test_uniforms_live_in_the_open_interval():
     assert np.all((u > 0.0) & (u < 1.0))
 
 
-def test_uniforms_never_round_to_one():
-    # the top 53-bit word ties halfway between 1 - 2^-53 and 1
-    words = np.array([2**64 - 1, 2**64 - 2**11, 0], dtype=np.uint64)
-    u = np.empty(3)
+def test_words_map_to_the_ends_of_the_open_interval_low_half_first():
+    # 0 and 2^64 - 1 give the two ends, 2^-33 and 1 - 2^-33, exactly; a
+    # word's low 32-bit half gives its first uniform
+    words = np.array([0, 2**64 - 1, 1, 2**32, 2**63 + 2**31], dtype=np.uint64)
+    u = np.empty((5, 2))
     _store_unit_open(u, words)
-    assert u[0] == u[1] == 1.0 - 0.5**53
-    assert u[2] == 0.5**54
-    # so the largest uniform's Box-Muller radius is not 0 (an n = 2
-    # direction of 0/0)
-    assert np.all(np.isfinite(_unit_rows(box_muller(u[None, :2], 2))))
+    assert u[0].tolist() == [0.5**33, 0.5**33]
+    assert u[1].tolist() == [1.0 - 0.5**33, 1.0 - 0.5**33]
+    assert u[2].tolist() == [1.5 * 0.5**32, 0.5**33]
+    assert u[3].tolist() == [0.5**33, 1.5 * 0.5**32]
+    assert u[4].tolist() == [0.5 + 0.5**33, 0.5 + 0.5**33]
+    assert np.array_equal(u.ravel(), _unit_open(words))
+    # the largest uniform's Box-Muller radius is not 0 (an n = 2 direction
+    # of 0/0), and the smallest one's is sqrt(66 log 2), about 6.8
+    z = box_muller(u[:2].reshape(1, 4), 4)
+    assert np.all(np.isfinite(_unit_rows(z[:, 2:])))
+    assert z[0, 0] == pytest.approx(np.sqrt(66.0 * np.log(2.0)), rel=1e-14)
+    assert np.max(np.abs(z)) < 6.8
 
 
 def test_batch_addressing_matches_single_streams():
@@ -246,7 +256,7 @@ def test_batch_addressing_matches_single_streams():
     for row, sid in ((0, 100), (1, 300)):
         solo = _stream(9, sid, substream=4)
         assert np.array_equal(got[row], solo(5))
-        # 5 uniforms consumed 2 counter blocks (8 slots); replaying the
+        # 5 uniforms consumed 1 counter block (8 slots); replaying the
         # solo stream reproduces the batch continuation
         assert np.array_equal(got2[row], solo(2))
 
@@ -255,7 +265,7 @@ def test_position_counts_blocks():
     s = StreamBatch(0, [0])
     s.uniforms([0], 1)
     assert s.position[0] == 1
-    s.uniforms([0], 5)  # two more blocks
+    s.uniforms([0], 9)  # two more blocks
     assert s.position[0] == 3
 
 
@@ -382,14 +392,16 @@ def test_sample_exit_point_radial_law():
 @given(
     alpha=st.floats(0.05, 1.95),
     r=st.floats(1e-3, 1e3),
-    k=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64),
+    k=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
 )
 def test_exit_table_against_betaincinv(alpha, r, k):
-    # uniforms of the generator's lattice, its two ends, and two far below
-    # it where the 1e-300 clamp on x holds
-    u = np.empty(len(k))
-    _store_unit_open(u, np.array(k, dtype=np.uint64) << np.uint64(11))
-    u = np.sort(np.concatenate([u, [0.5**54, 1.0 - 0.5**53, 1e-280, 1e-320]]))
+    # uniforms of the generator's lattice and its two ends, the ends of a
+    # 53-bit lattice past them, and two far below where the 1e-300 clamp on
+    # x holds
+    u = np.empty((len(k), 2))
+    _store_unit_open(u, np.array(k, dtype=np.uint64))
+    u = np.sort(np.concatenate([u.ravel(), [0.5**33, 1.0 - 0.5**33, 0.5**54,
+                                            1.0 - 0.5**53, 1e-280, 1e-320]]))
     got = exit_radius_from_uniform(r, alpha, u)
     ref = exit_reference.exit_radius_from_uniform(r, alpha, u)
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-11
@@ -425,15 +437,16 @@ def test_exit_inverse_rows_do_not_depend_on_the_batch(alpha):
 def test_alpha_one_exit_inverse_is_betaincinv_bit_for_bit():
     # at alpha = 1 the exit law is the arcsine law, x = sin^2(pi u / 2), and
     # 1 - x is sin^2(pi (1 - u) / 2); both equal scipy's betaincinv(1/2, 1/2)
-    # bit for bit at the generator's two ends and on a fixed sample
+    # bit for bit at the ends of a 53-bit lattice, at the generator's two
+    # ends and on a fixed sample
     idx = np.arange(4)
-    u = np.concatenate([[0.5**54, 1.0 - 0.5**53],
+    u = np.concatenate([[0.5**54, 1.0 - 0.5**53, 0.5**33, 1.0 - 0.5**33],
                         StreamBatch(8, idx, 3).uniforms(idx, 50_000).ravel()])
     x, one_minus_x = sampling._beta_inverse(1.0, u)
     assert x.tobytes() == sc.betaincinv(0.5, 0.5, u).tobytes()
     assert one_minus_x.tobytes() == sc.betaincinv(0.5, 0.5, 1.0 - u).tobytes()
-    # the top end keeps 1 - x = (pi/2)^2 2^-106 to rounding, where 1 - x by
-    # subtraction would read 0
+    # the 53-bit top end keeps 1 - x = (pi/2)^2 2^-106 to rounding, where
+    # 1 - x by subtraction would read 0
     assert one_minus_x[1] == pytest.approx((np.pi / 2.0) ** 2 * 0.5**106, rel=1e-15)
     assert 1.0 - x[1] == 0.0
 
@@ -478,10 +491,11 @@ def test_interior_transform_matches_the_closed_form_cdf(n, alpha):
     k = np.arange(1, N + 1)
     d = max(np.max(k / N - f), np.max(f - (k - 1) / N))
     assert d < _KS_1PCT / np.sqrt(N)
-    # the generator's two ends for each word, and for X also the first 1000
-    # words of the sample, keep S in [0, 1) and T in (0, 1]; at alpha = 1,
-    # x and 1 - x are rounded apart and may sum past 1
-    ends = np.array([0.5**54, 1.0 - 0.5**53])
+    # the generator's two ends and those of a 53-bit lattice for each word,
+    # and for X also the first 1000 words of the sample, keep S in [0, 1)
+    # and T in (0, 1]; at alpha = 1, x and 1 - x are rounded apart and may
+    # sum past 1
+    ends = np.array([0.5**33, 1.0 - 0.5**33, 0.5**54, 1.0 - 0.5**53])
     ux, ut, uv = (e.ravel() for e in np.meshgrid(np.concatenate([ends, u[:1000, 0]]),
                                                  ends, ends, indexing="ij"))
     t = sampling._interior_t(n, alpha, ux, ut)

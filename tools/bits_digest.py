@@ -33,7 +33,7 @@ and declares the move.  It prints
   ``run_path`` realization or ``StepCapExceeded``;
 * ``StreamBatch.uniforms`` across the Philox tile edges: the rows whose
   blocks meet an edge in full, and a blake2b digest of every draw; then
-  one draw of 4 (_TILE_BLOCKS + 9) words per row on three rows with high
+  one draw of 8 (_TILE_BLOCKS + 9) words per row on three rows with high
   key, substream and position words: the two blocks at each tile cut and
   a blake2b digest;
 * ``cli.main``, in process, on each of CLI_RUNS in a temp directory: the
@@ -159,11 +159,11 @@ def step_cap():
 
 def uniforms():
     rows = sampling._TILE_BLOCKS + 37
-    for m in (1, 4, 12, 21):
+    for m in (1, 8, 12, 21):
         batch = sampling.StreamBatch(11, np.arange(rows) * 5 + 3, np.arange(rows) % 4)
-        batch.uniforms(np.arange(0, rows, 3), 9)  # mixed starting positions
+        batch.uniforms(np.arange(0, rows, 3), 17)  # mixed starting positions
         u = batch.uniforms(np.arange(rows), m)
-        nblocks = -(-m // 4)
+        nblocks = -(-m // 8)
         edges = range(0, rows * nblocks, sampling._TILE_BLOCKS)
         near = sorted({r for e in edges for r in ((e - 1) // nblocks, e // nblocks)
                        if 0 <= r < rows})
@@ -175,10 +175,10 @@ def uniforms():
     batch = sampling.StreamBatch(0xABCDEF, [5, 2**64 - 3, 77], [0, 9, 2**40])
     batch.position = np.uint64(2**62) + batch.substreams
     nblocks = sampling._TILE_BLOCKS + 9
-    u = batch.uniforms(np.arange(3), 4 * nblocks)
+    u = batch.uniforms(np.arange(3), 8 * nblocks)
     for e in range(sampling._TILE_BLOCKS, 3 * nblocks, sampling._TILE_BLOCKS):
         for r, j in (divmod(e - 1, nblocks), divmod(e, nblocks)):
-            print(f"uniforms high row={r} block={j} {_hex(*u[r, 4 * j:4 * j + 4])}")
+            print(f"uniforms high row={r} block={j} {_hex(*u[r, 8 * j:8 * j + 8])}")
     digest = hashlib.blake2b(u.tobytes(), digest_size=16).hexdigest()
     print(f"uniforms high all={digest} position={[int(p) for p in batch.position]}")
 
