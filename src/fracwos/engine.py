@@ -47,6 +47,7 @@ keeps the reduction independent of the width as well.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -56,7 +57,7 @@ import scipy.special as sc
 
 from . import sampling
 from .geometry import Domain
-from .kernels import KernelConstants, _check_alpha, _check_real
+from .kernels import KernelConstants, _check_alpha, _check_integer, _check_real
 
 __all__ = [
     "ConstantField",
@@ -92,6 +93,7 @@ class ConstantField:
     value: float
 
     def __post_init__(self):
+        _check_real(self.value, "value")
         object.__setattr__(self, "value", float(self.value))
 
     def __call__(self, pts):
@@ -117,18 +119,12 @@ class ProblemSpec:
     domain: Domain
 
     def __post_init__(self):
+        _check_integer(self.n, "n")
         if self.n != self.domain.n:
             raise ValueError("problem dimension disagrees with the domain")
         _check_alpha(self.alpha)
         if self.g is None:
             raise ValueError("exterior data g is required (a field of zeros for g = 0)")
-
-
-def _check_integer(value, name):
-    """ValueError naming name unless value is a Python or numpy integer; a
-    bool or a float, even an integral one, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,8 @@ class Estimate:
     """Aggregated Monte Carlo estimate at one point.
 
     variance is the unbiased sample variance (N-1 denominator; 0.0 when a
-    single path survives), stderr = sqrt(variance / n_paths).  n_dropped
+    single path survives), stderr = sqrt(variance / n_paths); stderr stays
+    finite when variance is inf, beyond the float range.  n_dropped
     counts paths discarded at the step cap and n_nonfinite paths whose
     score is not finite (an overflow of f or g); both are excluded from all
     moments, mean_steps included.
@@ -375,24 +372,17 @@ def _reduce(config, scores, steps, dropped) -> Estimate:
 
     kept = scores[keep]
     mean = float(np.sum(kept) / n_kept)
-    var = 0.0
+    var = stderr = 0.0
     if n_kept > 1:
-        with np.errstate(over="ignore"):
-            var = float(np.sum((kept - mean) ** 2) / (n_kept - 1))
-    stderr = float(np.sqrt(var / n_kept))
-    if not np.isfinite(var):
-        # finite scores whose squared deviations overflow: the moments of
-        # the scores scaled by max |score| give a finite stderr
-        s = float(np.max(np.abs(kept)))
-        z = kept / s
-        zvar = float(np.sum((z - np.sum(z) / n_kept) ** 2) / (n_kept - 1))
-        var = s * (s * zvar)  # inf where the variance is beyond the float range
-        stderr = s * float(np.sqrt(zvar / n_kept))
-        warnings.warn(
-            f"the variance of {n_kept} scores overflows; stderr was computed "
-            "from the scores scaled by their largest magnitude",
-            RuntimeWarning,
-        )
+        # the scores scaled by s = 2^-e, 2^e > max |score|: a power of two scales
+        # exactly, so the moments keep every bit where the unscaled ones are
+        # finite, and stderr stays finite where variance overflows to inf
+        s = math.ldexp(1.0, -max(0, math.frexp(float(np.max(np.abs(kept))))[1]))
+        z = np.multiply(kept, s, out=kept)
+        z -= np.sum(z) / n_kept
+        zvar = float(np.sum(np.square(z, out=z)) / (n_kept - 1))
+        var = zvar / s / s
+        stderr = math.sqrt(zvar / n_kept) / s
     return Estimate(
         mean=mean,
         variance=var,

@@ -67,6 +67,14 @@ def _check_real(value, name):
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def _check_integer(value, name):
+    """ValueError naming name unless value is a Python or numpy integer, not a
+    bool or a float, even an integral one; an int passes before numpy is read."""
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_alpha(alpha: float) -> float:
     _check_real(alpha, "alpha")
     alpha = float(alpha)
@@ -95,6 +103,7 @@ def make_constants(n: int, alpha: float) -> KernelConstants:
     Requires n >= 2: with alpha < 2 that keeps alpha < n, the branch on
     which the Beta form of the Green function is valid.
     """
+    _check_integer(n, "n")
     n = int(n)
     if n < 2:
         raise ValueError("kernel constants require dimension n >= 2")

@@ -11,7 +11,9 @@ with zero Monte Carlo noise.
 import dataclasses
 import functools
 import math
+import sys
 import warnings
+from fractions import Fraction
 from unittest.mock import patch
 
 import exit_reference
@@ -119,7 +121,7 @@ def test_run_path_takes_an_integer_path_index():
 # reproducibility
 
 
-def test_estimate_invariant_under_chunking_and_threads():
+def test_estimate_invariant_under_wavefront_width():
     prob = ProblemSpec(
         n=2,
         alpha=1.2,
@@ -251,17 +253,17 @@ def _replay_base():
 
 
 @settings(max_examples=10, deadline=None)
-@given(chunk=st.integers(1, _REPLAY_N), i=st.integers(0, _REPLAY_N - 1))
-def test_replay_under_any_chunking(chunk, i):
-    with patch.object(engine, "_WAVEFRONT", chunk):
+@given(width=st.integers(1, _REPLAY_N), i=st.integers(0, _REPLAY_N - 1))
+def test_replay_at_any_wavefront_width(width, i):
+    with patch.object(engine, "_WAVEFRONT", width):
         est = estimate_point(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0)
     assert est == _replay_base()
-    # path i alone equals path i inside a wavefront of width chunk over its chunk
-    a = i - i % chunk
-    with patch.object(engine, "_WAVEFRONT", chunk):
+    # path i alone equals path i inside a wavefront of this width over its rows
+    a = i - i % width
+    with patch.object(engine, "_WAVEFRONT", width):
         landed = [batch[:3] for batch in _walk(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K,
                                                _REPLAY_X0[None, :],
-                                               (a, min(a + chunk, _REPLAY_N)))]
+                                               (a, min(a + width, _REPLAY_N)))]
     pairs, scores, steps = (np.concatenate(col) for col in zip(*landed))
     at = np.flatnonzero(pairs == i)[0]
     path = run_path(_REPLAY_PROB, _REPLAY_CFG, _REPLAY_K, _REPLAY_X0, i)
@@ -489,6 +491,12 @@ def test_constant_field_is_a_batch_field():
     assert f == engine.ConstantField(2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.value = 3.0
+    # value is a real number, by the rule of alpha and epsilon
+    for bad in ("2.5", True, None, [2.0]):
+        with pytest.raises(ValueError, match="value must be a real number"):
+            engine.ConstantField(bad)
+    for good in (np.float32(0.5), np.int64(3)):
+        assert engine.ConstantField(good).value == float(good)
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +638,64 @@ def test_overflowing_variance_gives_a_finite_stderr():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = estimate_point(prob, cfg, make_constants(2, 0.3), np.array([0.2, 0.1]))
-    assert [str(w.message) for w in caught] == [
-        "the variance of 2000 scores overflows; stderr was computed from the "
-        "scores scaled by their largest magnitude"
-    ]
+    assert caught == []  # variance = inf reports the overflow
     assert (est.n_paths, est.n_nonfinite, est.n_dropped) == (2000, 0, 0)
     assert est.variance == math.inf
     assert est.stderr == pytest.approx(7.2440e252, rel=1e-3)
     assert est.mean == pytest.approx(7.2440e252, rel=1e-3)
+
+
+def _exact_variance(x):
+    """The unbiased sample variance of the floats x in rational arithmetic."""
+    q = [Fraction(v) for v in x.tolist()]
+    mean = sum(q) / len(q)
+    return sum((v - mean) ** 2 for v in q) / (len(q) - 1)
+
+
+def test_reduce_variance_against_exact_arithmetic():
+    # random finite score sets, scaled by 2^k up to the float limit; half are
+    # scaled so that the exact variance lies within a few binades of it, where
+    # the squared deviations, their sum or the variance itself overflow.  k
+    # stays above -400, where no squared deviation underflows
+    rng = np.random.default_rng(2024)
+    top = Fraction(sys.float_info.max)
+    seen = {"plain finite": 0, "plain overflows": 0, "variance inf": 0,
+            "finite where plain overflows": 0}
+    for _ in range(1000):
+        N = int(rng.integers(2, 41))
+        b = rng.choice([0.0, 1.0, -3.0]) + rng.standard_t(2, N) * 10.0 ** rng.uniform(-6, 0)
+        kmax = 1024 - math.frexp(float(np.max(np.abs(b))))[1]
+        if rng.random() < 0.5:
+            k = int(rng.integers(-400, kmax + 1))
+        else:
+            k = min(kmax, 512 - math.frexp(math.sqrt(float(np.var(b, ddof=1))))[1]
+                    + int(rng.integers(-2, 3)))
+        x = np.ldexp(b, k)
+        assert np.all(np.isfinite(x))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = engine._reduce(WalkConfig(epsilon=1e-6, num_paths=N, seed=0), x.copy(),
+                                 np.ones(N, dtype=np.int64), np.zeros(N, dtype=bool))
+        assert not any("variance" in str(w.message) for w in caught)  # inf reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.sum(x) / N
+            plain = float(np.sum((x - mean) ** 2) / (N - 1))
+        exact = _exact_variance(x)
+        if math.isfinite(plain):
+            seen["plain finite"] += 1
+            assert est.variance == plain and est.mean == float(mean)
+        else:
+            seen["plain overflows"] += 1
+            seen["finite where plain overflows"] += math.isfinite(est.variance)
+        if est.variance == math.inf:
+            seen["variance inf"] += 1
+            assert exact >= top * (1 - Fraction(1, 2**48))
+        else:
+            assert abs(Fraction(est.variance) - exact) <= exact * Fraction(1, 2**48)
+        se, ulp = est.stderr, math.ulp(est.stderr)
+        assert math.isfinite(se)
+        assert Fraction(max(se - 4 * ulp, 0.0)) ** 2 <= exact / N <= Fraction(se + 4 * ulp) ** 2
+    assert min(seen.values()) >= 5, seen
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +792,11 @@ def test_problem_spec_validation():
     # Python and numpy reals are reals
     for good in (1, np.float64(1.5), np.float32(0.5), np.int64(1)):
         assert ProblemSpec(n=2, alpha=good, f=None, g=g, domain=dom).alpha == good
+    # n is an integer: a float, even 2.0, would fail only later, in the walk
+    for bad in (2.0, 2.7, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ProblemSpec(n=bad, alpha=1.0, f=None, g=g, domain=dom)
+    assert ProblemSpec(n=np.int64(2), alpha=1.0, f=None, g=g, domain=dom).n == 2
 
 
 def test_walk_config_validation():

@@ -68,6 +68,12 @@ def test_constants_validation():
         make_constants(2, 0.01)
     with pytest.raises(ValueError):
         make_constants(2, 1.99)
+    # n is an integer: 2.7 is not read as 2, and no float or bool is taken
+    for bad in (2.0, 2.7, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make_constants(bad, 1.0)
+    k = make_constants(np.int64(2), 1.0)
+    assert k == make_constants(2, 1.0) and type(k.n) is int
 
 
 def test_ball_geom_validation():
